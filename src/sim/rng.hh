@@ -30,7 +30,73 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Seedable wrapper around std::mt19937_64 with convenience draws. */
+/**
+ * MT19937-64: the exact stream of std::mt19937_64 (same seeding
+ * recurrence, twist and tempering), with a branch-free twist.
+ *
+ * Generators seed one engine per matrix row, so every row pays a full
+ * 312-word twist. libstdc++ picks the twist's matrix term with a branch
+ * on the random bit y & 1, which mispredicts half the time; here the
+ * term is the mask -(y & 1) & A, several times cheaper.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    explicit Mt19937_64(std::uint64_t seed)
+    {
+        mt_[0] = seed;
+        for (unsigned i = 1; i < kN; ++i)
+            mt_[i] = 6364136223846793005ull *
+                         (mt_[i - 1] ^ (mt_[i - 1] >> 62)) +
+                     i;
+    }
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type
+    operator()()
+    {
+        if (idx_ == kN)
+            twist();
+        std::uint64_t z = mt_[idx_++];
+        z ^= (z >> 29) & 0x5555555555555555ull;
+        z ^= (z << 17) & 0x71d67fffeda60000ull;
+        z ^= (z << 37) & 0xfff7eee000000000ull;
+        return z ^ (z >> 43);
+    }
+
+  private:
+    static constexpr unsigned kN = 312;
+    static constexpr unsigned kM = 156;
+
+    /** One twisted word from words i, i+1 and i+kM (mod kN). */
+    static std::uint64_t
+    twisted(std::uint64_t cur, std::uint64_t next, std::uint64_t far)
+    {
+        std::uint64_t y =
+            (cur & 0xffffffff80000000ull) | (next & 0x7fffffffull);
+        return far ^ (y >> 1) ^ (-(y & 1) & 0xb5026f5aa96619e9ull);
+    }
+
+    void
+    twist()
+    {
+        for (unsigned i = 0; i < kN - kM; ++i)
+            mt_[i] = twisted(mt_[i], mt_[i + 1], mt_[i + kM]);
+        for (unsigned i = kN - kM; i < kN - 1; ++i)
+            mt_[i] = twisted(mt_[i], mt_[i + 1], mt_[i + kM - kN]);
+        mt_[kN - 1] = twisted(mt_[kN - 1], mt_[0], mt_[kM - 1]);
+        idx_ = 0;
+    }
+
+    std::uint64_t mt_[kN];
+    unsigned idx_ = kN;
+};
+
+/** Seedable MT19937-64 with convenience draws. */
 class Rng
 {
   public:
@@ -87,10 +153,8 @@ class Rng
         return idx >= n ? n - 1 : idx;
     }
 
-    std::mt19937_64 &engine() { return eng_; }
-
   private:
-    std::mt19937_64 eng_;
+    Mt19937_64 eng_;
 };
 
 } // namespace netsparse

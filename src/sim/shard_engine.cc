@@ -85,8 +85,15 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
             } catch (...) {
                 if (!errors[self])
                     errors[self] = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
             }
+            // Failures (this epoch's drain or the last epoch's window)
+            // are published only here, before the first barrier. Other
+            // shards read the flag between the two barriers, so a store
+            // made from inside the window could reach some of them and
+            // not others: those would leave the loop while the rest
+            // waited at the second barrier forever.
+            if (errors[self])
+                failed.store(true, std::memory_order_relaxed);
             atomicMinTick(windowStart[e & 1], eq.nextEventTick());
             barrier.arrive_and_wait();
             // Every worker reads the same reduced value and the same
@@ -112,7 +119,6 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
             } catch (...) {
                 if (!errors[self])
                     errors[self] = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
             }
             windowStart[(e + 1) & 1].store(maxTick,
                                            std::memory_order_relaxed);

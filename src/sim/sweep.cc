@@ -30,14 +30,58 @@ SweepExecutor::jobsFromEnv()
 }
 
 void
+parallelFor(std::size_t n, unsigned workers,
+            const std::function<void(std::size_t)> &task)
+{
+    if (workers > n)
+        workers = static_cast<unsigned>(n);
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            task(i);
+        return;
+    }
+
+    std::atomic<std::size_t> next{0};
+    std::mutex errMutex;
+    std::exception_ptr firstError;
+    std::size_t firstErrorIndex = n;
+
+    auto worker = [&] {
+        for (;;) {
+            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                task(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errMutex);
+                if (i < firstErrorIndex) {
+                    firstErrorIndex = i;
+                    firstError = std::current_exception();
+                }
+            }
+        }
+    };
+
+    {
+        // jthreads join when the pool is destroyed, also when starting
+        // a later worker throws.
+        std::vector<std::jthread> pool;
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.emplace_back(worker);
+    }
+
+    if (firstError)
+        std::rethrow_exception(firstError);
+}
+
+void
 SweepExecutor::run(std::size_t n,
                    const std::function<void(std::size_t)> &point)
 {
-    unsigned workers =
-        static_cast<unsigned>(jobs_ < n ? jobs_ : (n ? n : 1));
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            point(i);
+    if (jobs_ <= 1 || n <= 1) {
+        parallelFor(n, 1, point);
         return;
     }
 
@@ -67,57 +111,29 @@ SweepExecutor::run(std::size_t n,
         pointSpans[i]->setCollect(collectSpans);
     }
 
-    std::atomic<std::size_t> next{0};
-    std::mutex errMutex;
-    std::exception_ptr firstError;
-    std::size_t firstErrorIndex = n;
-
-    auto worker = [&] {
-        for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                StatsExport::Bind statsBind(*pointStats[i]);
-                TelemetrySink::Bind telemetryBind(*pointTelemetry[i]);
-                SpanSink::Bind spanBind(*pointSpans[i]);
-                if (captureTrace) {
-                    // Event traces cannot be merged after the fact
-                    // (track ids collide), so each point writes its
-                    // own file: "dir/run.json" -> "dir/run.point3.json"
-                    // rather than the old "dir/run.json.point3", which
-                    // broke tooling expecting the extension last.
-                    TraceWriter pointTrace;
-                    TraceWriter::Bind traceBind(pointTrace);
-                    std::string path = TraceWriter::derivedPath(
-                        tracePath, "point" + std::to_string(i));
-                    if (!pointTrace.open(path))
-                        ns_warn("sweep: cannot open per-point trace ",
-                                path, "; point ", i, " runs untraced");
-                    point(i);
-                    pointTrace.close();
-                } else {
-                    point(i);
-                }
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errMutex);
-                if (i < firstErrorIndex) {
-                    firstErrorIndex = i;
-                    firstError = std::current_exception();
-                }
-            }
+    parallelFor(n, jobs_, [&](std::size_t i) {
+        StatsExport::Bind statsBind(*pointStats[i]);
+        TelemetrySink::Bind telemetryBind(*pointTelemetry[i]);
+        SpanSink::Bind spanBind(*pointSpans[i]);
+        if (captureTrace) {
+            // Event traces cannot be merged after the fact (track ids
+            // collide), so each point writes its own file:
+            // "dir/run.json" -> "dir/run.point3.json" rather than the
+            // old "dir/run.json.point3", which broke tooling expecting
+            // the extension last.
+            TraceWriter pointTrace;
+            TraceWriter::Bind traceBind(pointTrace);
+            std::string path = TraceWriter::derivedPath(
+                tracePath, "point" + std::to_string(i));
+            if (!pointTrace.open(path))
+                ns_warn("sweep: cannot open per-point trace ", path,
+                        "; point ", i, " runs untraced");
+            point(i);
+            pointTrace.close();
+        } else {
+            point(i);
         }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
-
-    if (firstError)
-        std::rethrow_exception(firstError);
+    });
 
     if (collectStats)
         for (std::size_t i = 0; i < n; ++i)

@@ -20,6 +20,9 @@
  *
  * jobs <= 1 (the default; see jobsFromEnv / NETSPARSE_BENCH_JOBS) runs
  * points inline on the calling thread with the ambient sinks untouched.
+ *
+ * The worker loop itself is parallelFor(), which other independent
+ * per-index work (the partitioned matrix build) runs on directly.
  */
 
 #ifndef NETSPARSE_SIM_SWEEP_HH
@@ -29,6 +32,16 @@
 #include <functional>
 
 namespace netsparse {
+
+/**
+ * Run @p task(i) for every i in [0, n) on min(@p workers, n) threads
+ * that claim indices from a shared counter; fewer than two workers run
+ * the indices inline, in order. Blocks until every index ran. An
+ * exception never escapes a worker thread: after the join, the one
+ * thrown by the lowest index is rethrown on the calling thread.
+ */
+void parallelFor(std::size_t n, unsigned workers,
+                 const std::function<void(std::size_t)> &task);
 
 class SweepExecutor
 {

@@ -1,8 +1,10 @@
 #include "sparse/stream_gen.hh"
 
 #include <algorithm>
+#include <thread>
 
 #include "sim/logging.hh"
+#include "sim/sweep.hh"
 
 namespace netsparse {
 
@@ -21,12 +23,10 @@ PartitionedMatrix::takeStreams()
 }
 
 PartitionedMatrix
-buildPartitionedMatrix(const GeneratorParams &params,
-                       std::uint32_t numNodes, std::uint32_t chunkRows)
+buildPartitionedMatrix(const GeneratorParams &params, std::uint32_t numNodes)
 {
     ns_assert(numNodes > 0, "need at least one node");
-    ns_assert(chunkRows > 0, "chunk must hold at least one row");
-    RowEmitter gen(params);
+    const RowEmitter gen(params);
     const std::uint32_t rows = gen.rows();
     ns_assert(rows >= numNodes, "fewer rows than nodes");
 
@@ -34,53 +34,36 @@ buildPartitionedMatrix(const GeneratorParams &params,
     pm.rows = pm.cols = rows;
     pm.part = Partition1D::equalRows(rows, numNodes);
     pm.nodes.resize(numNodes);
-    for (NodeId n = 0; n < numNodes; ++n) {
-        pm.nodes[n].firstRow = pm.part.begin(n);
-        pm.nodes[n].rowPtr.reserve(pm.part.size(n) + 1);
+    auto buildNode = [&](std::size_t n) {
+        NodeCsr &node = pm.nodes[n];
+        const auto id = static_cast<NodeId>(n);
+        const std::uint32_t first = pm.part.begin(id);
+        const std::uint32_t count = pm.part.size(id);
+        node.firstRow = first;
+        node.rowPtr.reserve(count + 1);
         // Row degrees concentrate near the mean; reserving for it
         // avoids most mid-build reallocation without overcommitting.
-        pm.nodes[n].colIdx.reserve(static_cast<std::size_t>(
-            pm.part.size(n) * std::max(1.0, gen.expectedDegree())));
-    }
-
-    // One bounded scratch buffer: rows of the current chunk, back to
-    // back, with per-row end offsets. Chunking only bounds transient
-    // memory - rows are appended to their owners in global row order
-    // regardless, so any chunkRows yields identical partitions.
-    std::vector<std::uint32_t> chunk_cols;
-    std::vector<std::size_t> row_ends;
-    for (std::uint32_t base = 0; base < rows; base += chunkRows) {
-        std::uint32_t count =
-            std::min<std::uint32_t>(chunkRows, rows - base);
-        chunk_cols.clear();
-        row_ends.clear();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            gen.emitRow(base + i, chunk_cols);
-            row_ends.push_back(chunk_cols.size());
+        node.colIdx.reserve(static_cast<std::size_t>(
+            count * std::max(1.0, gen.expectedDegree())));
+        for (std::uint32_t r = first; r < first + count; ++r) {
+            gen.emitRow(r, node.colIdx);
+            node.rowPtr.push_back(node.colIdx.size());
         }
-        std::size_t row_begin = 0;
-        for (std::uint32_t i = 0; i < count; ++i) {
-            NodeCsr &dst = pm.nodes[pm.part.ownerOf(base + i)];
-            dst.colIdx.insert(dst.colIdx.end(),
-                              chunk_cols.begin() + row_begin,
-                              chunk_cols.begin() + row_ends[i]);
-            dst.rowPtr.push_back(dst.colIdx.size());
-            row_begin = row_ends[i];
-        }
-        pm.nnz += chunk_cols.size();
-    }
-    for (NodeId n = 0; n < numNodes; ++n)
-        ns_assert(pm.nodes[n].numRows() == pm.part.size(n),
-                  "node ", n, " row count mismatch");
+    };
+    // A row is a pure function of (params, row) and each node owns a
+    // contiguous row range, so nodes build independently and the output
+    // is byte-identical at any worker count.
+    parallelFor(numNodes, std::thread::hardware_concurrency(), buildNode);
+    for (const NodeCsr &node : pm.nodes)
+        pm.nnz += node.nnz();
     return pm;
 }
 
 PartitionedMatrix
 buildPartitionedBenchmark(MatrixKind kind, double scale,
-                          std::uint32_t numNodes, std::uint32_t chunkRows)
+                          std::uint32_t numNodes)
 {
-    return buildPartitionedMatrix(benchmarkParams(kind, scale), numNodes,
-                                  chunkRows);
+    return buildPartitionedMatrix(benchmarkParams(kind, scale), numNodes);
 }
 
 double

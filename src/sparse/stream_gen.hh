@@ -7,18 +7,18 @@
  * ~13 GB at arabic-2005 size, which is what kept the repo's experiments
  * 100-200x under scale (EXPERIMENTS.md). Because every generator row is
  * an independent function of (params, row) - see sparse/generators.hh -
- * the matrix can instead be *streamed*: rows are emitted in chunks and
- * appended directly to the per-node CSR partition that owns them, so
- * peak memory is the final partitioned form (~4 bytes/nnz for column
- * indices plus row pointers) plus one bounded chunk buffer. No global
- * COO or CSR is ever held.
+ * the matrix can instead be *streamed*: each row is emitted straight
+ * into the per-node CSR partition that owns it, so peak memory is the
+ * final partitioned form (~4 bytes/nnz for column indices plus row
+ * pointers). No global COO or CSR is ever held.
  *
- * Determinism contract: buildPartitionedMatrix(params, nodes, chunk)
- * yields byte-identical per-node partitions for any chunkRows value,
- * and its concatenated rows equal Csr::fromCoo(makeMatrix(params))
- * exactly (fromCoo's counting sort is stable, so both paths carry each
- * row's columns in emission order). docs/scaling.md works through the
- * memory model and the paper-scale presets.
+ * Determinism contract: buildPartitionedMatrix(params, nodes) builds
+ * the nodes on parallel workers and yields byte-identical per-node
+ * partitions at any worker count, and its concatenated rows equal
+ * Csr::fromCoo(makeMatrix(params)) exactly (fromCoo's counting sort is
+ * stable, so both paths carry each row's columns in emission order).
+ * docs/scaling.md works through the memory model and the paper-scale
+ * presets.
  */
 
 #ifndef NETSPARSE_SPARSE_STREAM_GEN_HH
@@ -70,25 +70,18 @@ struct PartitionedMatrix
 };
 
 /**
- * Stream-generate a matrix directly into per-node CSR partitions.
+ * Stream-generate a matrix directly into per-node CSR partitions, one
+ * node at a time on each of min(hardware threads, @p numNodes) workers.
  *
  * @param params generator parameters (see benchmarkParams()).
- * @param numNodes parts of the equal-rows partition; peak transient
- *        memory is one chunk, final memory is the partitioned matrix.
- * @param chunkRows rows emitted per chunk buffer; any value yields
- *        identical output (the default balances buffer size against
- *        loop overhead).
+ * @param numNodes parts of the equal-rows partition.
  */
 PartitionedMatrix buildPartitionedMatrix(const GeneratorParams &params,
-                                         std::uint32_t numNodes,
-                                         std::uint32_t chunkRows = 1
-                                             << 16);
+                                         std::uint32_t numNodes);
 
 /** Streamed benchmarkParams(kind, scale) analogue. */
 PartitionedMatrix buildPartitionedBenchmark(MatrixKind kind, double scale,
-                                            std::uint32_t numNodes,
-                                            std::uint32_t chunkRows = 1
-                                                << 16);
+                                            std::uint32_t numNodes);
 
 /**
  * Row-count scale at which a kind's analogue reaches the nonzero count

@@ -187,8 +187,9 @@ TEST(PropertyCache, RandomizedChecksumIntegrity)
             c.insert(idx, propertyChecksum(idx));
         } else {
             std::uint64_t csum;
-            if (c.lookup(idx, csum))
+            if (c.lookup(idx, csum)) {
                 ASSERT_EQ(csum, propertyChecksum(idx));
+            }
         }
     }
     EXPECT_GT(c.hits(), 0u);

@@ -86,8 +86,9 @@ TEST_P(GatherAblationTest, InvariantsHoldAndGatherCompletes)
         // needs, and with everything off it requests one per nonzero.
         EXPECT_GE(r.nodes[n].prsIssued, cp.nodes[n].uniqueRemote);
         EXPECT_EQ(r.nodes[n].remoteIdxs(), cp.nodes[n].remoteNnz);
-        if (stage == 0)
+        if (stage == 0) {
             EXPECT_EQ(r.nodes[n].prsIssued, cp.nodes[n].remoteNnz);
+        }
     }
 }
 

@@ -84,9 +84,12 @@ struct MultiPipeHarness
         sw = std::make_unique<Switch>(eq, cfg, 0, "tor");
         for (std::uint32_t p = 0; p < 8; ++p) {
             sinks.push_back(std::make_unique<RecordingSink>());
+            // Appending, not "p" + std::string: GCC 12 at -O3 warns
+            // falsely (-Wrestrict) on a literal prepended to a temporary.
+            std::string name = "p";
+            name += std::to_string(p);
             links.push_back(std::make_unique<Link>(
-                eq, LinkConfig{}, cfg.proto, sinks.back().get(), 0,
-                "p" + std::to_string(p)));
+                eq, LinkConfig{}, cfg.proto, sinks.back().get(), 0, name));
             sw->attachPort(p, links.back().get(), p < 4);
         }
         sw->setRouteFn([](NodeId dest) -> std::uint32_t {

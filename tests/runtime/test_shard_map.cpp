@@ -37,8 +37,9 @@ checkMap(const Topology &topo, const ShardMap &map)
     // inside one event queue.
     for (SwitchId s = 0; s < topo.numSwitches(); ++s) {
         for (const PortPeer &peer : topo.ports(s)) {
-            if (peer.kind == PortPeer::Kind::Host)
+            if (peer.kind == PortPeer::Kind::Host) {
                 EXPECT_EQ(map.shardOfNode(peer.id), map.shardOfSwitch(s));
+            }
         }
     }
     // Every shard owns at least one ToR (rack granularity).

@@ -61,10 +61,11 @@ TEST(PaperScale, StreamingBuildStaysUnderTheCooFootprint)
     SKIP_UNLESS_SCALE();
     // The claim that makes 100M+ nonzeros tractable: the builder's
     // peak memory is the final partitioned form (~4 bytes/nnz of
-    // column indices plus row pointers) plus one chunk buffer. A
-    // materializing build pays >= 8 bytes/nnz for the COO alone before
-    // the CSR conversion doubles it, so an 8 bytes/nnz ceiling on the
-    // build's RSS growth proves no global COO was ever held.
+    // column indices plus row pointers): rows go straight into their
+    // owners' partitions, with no buffer beside them. A materializing
+    // build pays >= 8 bytes/nnz for the COO alone before the CSR
+    // conversion doubles it, so an 8 bytes/nnz ceiling on the build's
+    // RSS growth proves no global COO was ever held.
     std::uint64_t rss_before = peakRssBytes();
     PartitionedMatrix pm = buildPartitionedBenchmark(
         MatrixKind::Arabic, kCiPaperScale, 1024);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/stats_export.hh"
 #include "sim/sweep.hh"
 
@@ -87,11 +88,32 @@ TEST(SweepExecutor, FirstExceptionByIndexPropagates)
     }
 }
 
+TEST(ParallelFor, CoversEveryIndexOnceWithMoreWorkersThanIndices)
+{
+    std::vector<std::atomic<int>> hits(3);
+    parallelFor(3, 8, [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    parallelFor(0, 8, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(ParallelFor, AssertInAWorkerReachesTheCaller)
+{
+    // ns_assert panics by throwing; a worker thread must hand the
+    // exception to the caller instead of terminating the process.
+    EXPECT_THROW(parallelFor(64, 4,
+                             [](std::size_t i) {
+                                 ns_assert(i != 17, "index ", i);
+                             }),
+                 std::logic_error);
+}
+
 TEST(SweepExecutor, JobsFromEnvDefaultsToOne)
 {
     // The variable is unset in the test environment.
-    if (!std::getenv("NETSPARSE_BENCH_JOBS"))
+    if (!std::getenv("NETSPARSE_BENCH_JOBS")) {
         EXPECT_EQ(SweepExecutor::jobsFromEnv(), 1u);
+    }
     SweepExecutor exec(0);
     std::vector<std::size_t> order;
     exec.run(3, [&](std::size_t i) { order.push_back(i); });
