@@ -2,10 +2,10 @@
  * @file
  * Simulator throughput regression harness (no paper figure): runs the
  * canonical gather (arabic at scale 1.0, 128 nodes, K=16) a few times
- * sequentially at exact and hybrid fidelity and again under the
- * parallel engine, and reports events/second plus wall and CPU time,
- * writing the result as BENCH_perf.json (schema netsparse-perf-v3) for
- * CI trend tracking and the scripts/check_perf_regression.py gate.
+ * sequentially and again under the parallel engine, and reports
+ * events/second plus wall and CPU time, writing the result as
+ * BENCH_perf.json (schema netsparse-perf-v4) for CI trend tracking and
+ * the scripts/check_perf_regression.py gate.
  *
  * Sequential events/sec is computed against CPU time
  * (CLOCK_PROCESS_CPUTIME_ID) because CI runners and shared dev boxes
@@ -17,26 +17,21 @@
  * would timeslice one core, so the ratio would measure scheduler noise,
  * not the engine.
  *
- * Fidelity delta gate (docs/performance.md): the exact and hybrid
- * phases must execute the same logical event count and move the same
- * wire bytes, and their commTicks and tail goodput must agree within
- * kFidelityEps. The measured deltas are recorded in the JSON so CI can
- * upload them as an artifact. Every run's commTicks and event count
- * must also be identical across repeats AND across engines - the
- * harness exits nonzero otherwise, so it doubles as a determinism
- * check of the conservative synchronization.
+ * Every run's commTicks and event count must be identical across
+ * repeats AND across engines - the harness exits nonzero otherwise, so
+ * it doubles as a determinism check of the conservative
+ * synchronization.
  *
  * NETSPARSE_PERF_PAPER=1 appends a paper-scale smoke phase (streamed
  * arabic at scale 28, 1024 nodes, batched events - the docs/scaling.md
- * preset) at exact and hybrid fidelity, one run each.
+ * preset): one streamed build, moved into one run.
  *
  * Output path: --out FILE, else NETSPARSE_PERF_OUT, else
- * ./BENCH_perf.json. Exit codes: 0 ok, 2 non-deterministic, 3 fidelity
- * delta gate failed. See docs/performance.md.
+ * ./BENCH_perf.json. Exit codes: 0 ok, 1 output unwritable, 2
+ * non-deterministic. See docs/performance.md.
  */
 
 #include <chrono>
-#include <cmath>
 #include <ctime>
 #include <string>
 #include <thread>
@@ -49,9 +44,6 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 namespace {
-
-/** Relative tolerance of the exact-vs-hybrid timing statistics. */
-constexpr double kFidelityEps = 0.02;
 
 double
 cpuSeconds()
@@ -90,10 +82,6 @@ struct PhaseResult
     double bestWall = 0;
     double sumCpu = 0;
     bool deterministic = true;
-    std::uint64_t wireBytes = 0;
-    double goodput = 0;
-    std::uint64_t flowPackets = 0;
-    std::uint64_t flowDemotions = 0;
 };
 
 PhaseResult
@@ -114,10 +102,6 @@ runPhase(const char *label, const ClusterConfig &base, const Csr &m,
             ph.comm = res.commTicks;
             ph.epochs = res.epochs;
             ph.shards = res.simShards;
-            ph.wireBytes = res.totalWireBytes;
-            ph.goodput = res.tailGoodput;
-            ph.flowPackets = res.flowPackets;
-            ph.flowDemotions = res.flowDemotions;
         } else if (res.executedEvents != ph.events ||
                    res.commTicks != ph.comm) {
             ph.deterministic = false;
@@ -133,13 +117,6 @@ runPhase(const char *label, const ClusterConfig &base, const Csr &m,
     }
     std::printf("\n");
     return ph;
-}
-
-double
-relDelta(double a, double b)
-{
-    return a != 0.0 ? std::fabs(b - a) / std::fabs(a)
-                    : std::fabs(b - a);
 }
 
 } // namespace
@@ -192,55 +169,25 @@ main(int argc, char **argv)
     // falls back to per-event execution for comparison.
     base.eventBatching = !envSet("NETSPARSE_PERF_EXACT");
 
-    PhaseResult seq = runPhase("sequential (1 shard, exact fidelity)",
-                               base, m, part, k, repeats);
-
-    ClusterConfig hyb_cfg = base;
-    hyb_cfg.fidelity = FidelityMode::Hybrid;
-    PhaseResult hyb = runPhase("sequential (1 shard, hybrid fidelity)",
-                               hyb_cfg, m, part, k, repeats);
+    PhaseResult seq = runPhase("sequential (1 shard)", base, m, part, k,
+                               repeats);
 
     PhaseResult par;
     if (run_parallel) {
         ClusterConfig par_cfg = base;
         par_cfg.simShards = par_shards;
-        par = runPhase("parallel (exact fidelity)", par_cfg, m, part, k,
-                       repeats);
+        par = runPhase("parallel", par_cfg, m, part, k, repeats);
     }
 
-    bool deterministic = seq.deterministic && hyb.deterministic &&
+    bool deterministic = seq.deterministic &&
                          (!run_parallel || (par.deterministic &&
                                             par.events == seq.events &&
                                             par.comm == seq.comm));
 
-    // Fidelity delta gate: hybrid must preserve the logical event and
-    // byte accounting exactly, and the timing statistics within eps.
-    double comm_delta = relDelta(static_cast<double>(seq.comm),
-                                 static_cast<double>(hyb.comm));
-    double goodput_delta = relDelta(seq.goodput, hyb.goodput);
-    bool events_equal = hyb.events == seq.events;
-    bool bytes_equal = hyb.wireBytes == seq.wireBytes;
-    bool gate_pass = events_equal && bytes_equal &&
-                     comm_delta <= kFidelityEps &&
-                     goodput_delta <= kFidelityEps;
-
     double events_per_sec = seq.events / seq.bestCpu;
-    double hybrid_events_per_sec = hyb.events / hyb.bestCpu;
-    double hybrid_cpu_speedup = hyb.bestCpu > 0
-                                    ? seq.bestCpu / hyb.bestCpu
-                                    : 0.0;
     std::printf("sequential best : %.0f events/s (cpu), %.3f s cpu, "
                 "%.3f s wall\n",
                 events_per_sec, seq.bestCpu, seq.bestWall);
-    std::printf("hybrid best     : %.0f events/s (cpu), %.3f s cpu, "
-                "%.2fx vs exact, %llu flow pkts, %llu demotions\n",
-                hybrid_events_per_sec, hyb.bestCpu, hybrid_cpu_speedup,
-                (unsigned long long)hyb.flowPackets,
-                (unsigned long long)hyb.flowDemotions);
-    std::printf("fidelity deltas : commTicks %.2e, goodput %.2e "
-                "(eps %.2g) -> %s\n",
-                comm_delta, goodput_delta, kFidelityEps,
-                gate_pass ? "PASS" : "FAIL");
     if (run_parallel) {
         std::printf("parallel best   : %.0f events/s (wall), %.3f s "
                     "wall, %u shards, %llu epochs\n",
@@ -259,77 +206,42 @@ main(int argc, char **argv)
     }
 
     // Optional paper-scale smoke (docs/scaling.md preset): streamed
-    // generation, batched events, one run per fidelity.
+    // generation, batched events. The build is moved into the run, so
+    // only the per-node index streams are ever resident.
     bool paper = envSet("NETSPARSE_PERF_PAPER");
-    PhaseResult pseq, phyb;
+    PhaseResult pap;
     std::uint64_t paper_nnz = 0;
-    double paper_events_delta = 0.0, paper_comm_delta = 0.0;
     const std::uint32_t paper_nodes = 1024;
     const double paper_scale = 28.0;
     if (paper) {
         banner("Paper-scale smoke (streamed)", "no figure");
-        PartitionedMatrix pm = buildPartitionedBenchmark(
-            MatrixKind::Arabic, paper_scale, paper_nodes);
-        paper_nnz = pm.nnz;
+        GatherWorkload work;
+        {
+            PartitionedMatrix pm = buildPartitionedBenchmark(
+                MatrixKind::Arabic, paper_scale, paper_nodes);
+            paper_nnz = pm.nnz;
+            work.numIdxs = pm.cols;
+            work.part = pm.part;
+            work.streams = pm.takeStreams();
+        }
         std::printf("(arabic, %u nodes, matrix scale %.1f, %llu nnz, "
                     "batched events)\n\n",
                     paper_nodes, paper_scale,
                     (unsigned long long)paper_nnz);
-        auto run_paper = [&](const char *label, FidelityMode fid) {
-            // Stream generation is cheap relative to the run but the
-            // workload is consumed by runGather, so regenerate per run.
-            PartitionedMatrix gen = buildPartitionedBenchmark(
-                MatrixKind::Arabic, paper_scale, paper_nodes);
-            GatherWorkload work;
-            work.numIdxs = gen.cols;
-            work.part = gen.part;
-            work.streams = gen.takeStreams();
-            ClusterConfig cfg = defaultClusterConfig(paper_nodes);
-            cfg.simShards = 1;
-            cfg.eventBatching = true;
-            cfg.fidelity = fid;
-            PhaseResult ph;
-            double cpu0 = cpuSeconds(), wall0 = wallSeconds();
-            GatherRunResult res =
-                ClusterSim(cfg).runGather(std::move(work), k);
-            ph.bestCpu = cpuSeconds() - cpu0;
-            ph.bestWall = wallSeconds() - wall0;
-            ph.sumCpu = ph.bestCpu;
-            ph.events = res.executedEvents;
-            ph.comm = res.commTicks;
-            ph.wireBytes = res.totalWireBytes;
-            ph.goodput = res.tailGoodput;
-            ph.flowPackets = res.flowPackets;
-            ph.flowDemotions = res.flowDemotions;
-            std::printf("%-28s %14llu events %10.3f s cpu %10.3f s "
-                        "wall %12.0f events/s\n",
-                        label, (unsigned long long)ph.events, ph.bestCpu,
-                        ph.bestWall, ph.events / ph.bestWall);
-            return ph;
-        };
-        pseq = run_paper("paper-scale exact", FidelityMode::Exact);
-        phyb = run_paper("paper-scale hybrid", FidelityMode::Hybrid);
-        std::printf("paper-scale hybrid speedup: %.2fx cpu, "
-                    "%.2fx wall\n",
-                    pseq.bestCpu / phyb.bestCpu,
-                    pseq.bestWall / phyb.bestWall);
-        // Under batched execution the event count is not an exact
-        // invariant: trains hold regime-boundary packets past their
-        // exact arrival, so packetization can drift a little between
-        // the two runs (docs/performance.md). Hold it - and the
-        // simulated time - to the same epsilon as the timing gate.
-        paper_events_delta =
-            relDelta(static_cast<double>(pseq.events),
-                     static_cast<double>(phyb.events));
-        paper_comm_delta = relDelta(static_cast<double>(pseq.comm),
-                                    static_cast<double>(phyb.comm));
-        bool paper_pass = paper_events_delta <= kFidelityEps &&
-                          paper_comm_delta <= kFidelityEps;
-        std::printf("paper-scale deltas: events %.2e, commTicks %.2e "
-                    "(eps %.2g) -> %s\n\n",
-                    paper_events_delta, paper_comm_delta, kFidelityEps,
-                    paper_pass ? "PASS" : "FAIL");
-        gate_pass = gate_pass && paper_pass;
+        ClusterConfig cfg = defaultClusterConfig(paper_nodes);
+        cfg.simShards = 1;
+        cfg.eventBatching = true;
+        double cpu0 = cpuSeconds(), wall0 = wallSeconds();
+        GatherRunResult res =
+            ClusterSim(cfg).runGather(std::move(work), k);
+        pap.bestCpu = cpuSeconds() - cpu0;
+        pap.bestWall = wallSeconds() - wall0;
+        pap.events = res.executedEvents;
+        pap.comm = res.commTicks;
+        std::printf("paper-scale     : %llu events, %.3f s cpu, %.3f s "
+                    "wall, %.0f events/s (wall)\n\n",
+                    (unsigned long long)pap.events, pap.bestCpu,
+                    pap.bestWall, pap.events / pap.bestWall);
     }
 
     std::FILE *f = std::fopen(out.c_str(), "w");
@@ -340,7 +252,7 @@ main(int argc, char **argv)
     std::fprintf(
         f,
         "{\n"
-        "  \"schema\": \"netsparse-perf-v3\",\n"
+        "  \"schema\": \"netsparse-perf-v4\",\n"
         "  \"benchmark\": \"canonical-gather\",\n"
         "  \"matrix\": \"arabic\",\n"
         "  \"nodes\": %u,\n"
@@ -375,26 +287,6 @@ main(int argc, char **argv)
                      "  \"parallel_events_per_second_wall\": null,\n"
                      "  \"wall_speedup\": null,\n");
     }
-    std::fprintf(
-        f,
-        "  \"fidelity\": {\n"
-        "    \"hybrid_best_cpu_seconds\": %.6f,\n"
-        "    \"hybrid_events_per_second\": %.0f,\n"
-        "    \"hybrid_cpu_speedup\": %.3f,\n"
-        "    \"flow_packets\": %llu,\n"
-        "    \"flow_demotions\": %llu,\n"
-        "    \"epsilon\": %.4f,\n"
-        "    \"comm_ticks_rel_delta\": %.6e,\n"
-        "    \"goodput_rel_delta\": %.6e,\n"
-        "    \"executed_events_equal\": %s,\n"
-        "    \"wire_bytes_equal\": %s,\n"
-        "    \"gate_pass\": %s\n"
-        "  },\n",
-        hyb.bestCpu, hybrid_events_per_sec, hybrid_cpu_speedup,
-        (unsigned long long)hyb.flowPackets,
-        (unsigned long long)hyb.flowDemotions, kFidelityEps, comm_delta,
-        goodput_delta, events_equal ? "true" : "false",
-        bytes_equal ? "true" : "false", gate_pass ? "true" : "false");
     if (paper) {
         std::fprintf(
             f,
@@ -402,24 +294,14 @@ main(int argc, char **argv)
             "    \"nodes\": %u,\n"
             "    \"scale\": %.1f,\n"
             "    \"nnz\": %llu,\n"
-            "    \"exact_wall_seconds\": %.6f,\n"
-            "    \"exact_cpu_seconds\": %.6f,\n"
-            "    \"hybrid_wall_seconds\": %.6f,\n"
-            "    \"hybrid_cpu_seconds\": %.6f,\n"
-            "    \"hybrid_wall_speedup\": %.3f,\n"
+            "    \"wall_seconds\": %.6f,\n"
+            "    \"cpu_seconds\": %.6f,\n"
             "    \"executed_events\": %llu,\n"
-            "    \"hybrid_executed_events\": %llu,\n"
-            "    \"events_rel_delta\": %.6e,\n"
-            "    \"comm_ticks_rel_delta\": %.6e,\n"
-            "    \"flow_packets\": %llu\n"
+            "    \"comm_ticks\": %llu\n"
             "  },\n",
             paper_nodes, paper_scale, (unsigned long long)paper_nnz,
-            pseq.bestWall, pseq.bestCpu, phyb.bestWall, phyb.bestCpu,
-            pseq.bestWall / phyb.bestWall,
-            (unsigned long long)pseq.events,
-            (unsigned long long)phyb.events, paper_events_delta,
-            paper_comm_delta,
-            (unsigned long long)phyb.flowPackets);
+            pap.bestWall, pap.bestCpu, (unsigned long long)pap.events,
+            (unsigned long long)pap.comm);
     } else {
         std::fprintf(f, "  \"paper_scale\": null,\n");
     }
@@ -427,7 +309,5 @@ main(int argc, char **argv)
                  deterministic ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", out.c_str());
-    if (!deterministic)
-        return 2;
-    return gate_pass ? 0 : 3;
+    return deterministic ? 0 : 2;
 }

@@ -29,11 +29,6 @@
  *     --batched-events     coarser event batching (delivery trains +
  *                          batched server reads); the paper-scale
  *                          preset. Figure reproductions leave it off.
- *     --fidelity M         network fidelity: exact (default), hybrid
- *                          (analytical fast-forward of uncongested
- *                          links, packet-exact under congestion), or
- *                          flow (always analytical; validation only).
- *                          See docs/performance.md.
  *     --memory-stats       export per-shard arena accounting under
  *                          cluster.memory.* in the stats registry
  *                          (host diagnostic; off by default)
@@ -111,9 +106,7 @@ usage(const char *argv0)
                  "[--no-cache]\n"
                  "  [--cache-bytes B] [--partition rows|nnz] "
                  "[--shards N] [--stats]\n"
-                 "  [--stream] [--batched-events] "
-                 "[--fidelity exact|hybrid|flow]\n"
-                 "  [--memory-stats]\n"
+                 "  [--stream] [--batched-events] [--memory-stats]\n"
                  "  [--faults drop:R,corrupt:R,down:R,downUs:T,"
                  "degrade:R,degradeUs:T,\n"
                  "            degradeFactor:F,seed:S]\n"
@@ -170,7 +163,6 @@ main(int argc, char **argv)
     std::string partition = "rows";
     std::uint32_t shards = 0;
     bool stream = false, batched_events = false;
-    FidelityMode fidelity = FidelityMode::Exact;
     bool memory_stats = false;
     bool dump_stats = false;
     std::string stats_json, trace_out, faults_spec, telemetry_out;
@@ -223,13 +215,7 @@ main(int argc, char **argv)
             stream = true;
         else if (a == "--batched-events")
             batched_events = true;
-        else if (a == "--fidelity") {
-            if (!parseFidelity(next(), fidelity))
-                usage(argv[0]);
-        } else if (a.rfind("--fidelity=", 0) == 0) {
-            if (!parseFidelity(a.substr(11), fidelity))
-                usage(argv[0]);
-        } else if (a == "--memory-stats")
+        else if (a == "--memory-stats")
             memory_stats = true;
         else if (a == "--faults")
             faults_spec = next();
@@ -369,7 +355,6 @@ main(int argc, char **argv)
         cfg.propertyCacheBytes = cache_bytes;
     cfg.simShards = shards;
     cfg.eventBatching = batched_events;
-    cfg.fidelity = fidelity;
     cfg.memoryStats = memory_stats;
     cfg.fairQueue = switch_queue == "fq";
     cfg.tenantCachePartitioned = cache_mode == "partitioned";
@@ -544,13 +529,6 @@ main(int argc, char **argv)
                     "lookahead %.0f ns\n",
                     r.simShards, (unsigned long long)r.epochs,
                     ticks::toNs(r.lookaheadTicks));
-    }
-    if (r.fidelity != FidelityMode::Exact) {
-        std::printf("fidelity           : %10s  (%llu flow packets, "
-                    "%llu demotions)\n",
-                    fidelityName(r.fidelity),
-                    (unsigned long long)r.flowPackets,
-                    (unsigned long long)r.flowDemotions);
     }
     if (r.faultsEnabled) {
         auto sum = [&r](auto field) { return r.sumNodes(field); };

@@ -4,9 +4,9 @@
 Compares the measured sequential throughput (events_per_second, the
 CPU-time-based metric chosen for its robustness to runner noise) against
 the committed baseline in bench/perf_baseline.json and fails when it
-drops more than the allowed fraction below it. Also re-asserts the
-exact-vs-hybrid fidelity delta gate that bench_perf already evaluated,
-and writes the deltas to a small JSON artifact for CI upload.
+drops more than the allowed fraction below it, or when the run was
+non-deterministic, and writes the gate's summary to a small JSON
+artifact for CI upload.
 
 The committed baseline records the reference container's numbers;
 heterogeneous runners can scale the floor with
@@ -19,7 +19,7 @@ Usage:
     check_perf_regression.py BENCH_perf.json [--baseline FILE]
         [--tolerance 0.20] [--delta-out FILE]
 
-Exit codes: 0 pass, 1 regression or gate failure, 2 bad input.
+Exit codes: 0 pass, 1 regression or non-determinism, 2 bad input.
 """
 
 import argparse
@@ -49,7 +49,7 @@ def main():
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed fractional drop below baseline")
     ap.add_argument("--delta-out", default=None,
-                    help="write the measured deltas as JSON here")
+                    help="write the gate summary as JSON here")
     args = ap.parse_args()
 
     result = load(args.result)
@@ -102,14 +102,6 @@ def main():
     if not result.get("deterministic", False):
         failures.append("run was non-deterministic")
 
-    fidelity = result.get("fidelity") or {}
-    if fidelity and not fidelity.get("gate_pass", False):
-        failures.append(
-            "exact-vs-hybrid fidelity delta gate failed: "
-            f"commTicks delta {fidelity.get('comm_ticks_rel_delta')}, "
-            f"goodput delta {fidelity.get('goodput_rel_delta')}, "
-            f"eps {fidelity.get('epsilon')}")
-
     summary = {
         "events_per_second": measured,
         "baseline_events_per_second": reference,
@@ -117,7 +109,6 @@ def main():
         "ratio_vs_baseline": ratio,
         "tolerance": args.tolerance,
         "improved_vs_baseline": improved,
-        "fidelity_delta": fidelity,
         "pass": not failures,
     }
     if args.delta_out:
@@ -131,12 +122,6 @@ def main():
         print(f"note       : throughput beats the baseline by more than "
               f"{args.tolerance:.0%}; consider raising "
               f"bench/perf_baseline.json")
-    if fidelity:
-        print(f"fidelity   : commTicks delta "
-              f"{fidelity.get('comm_ticks_rel_delta')}, goodput delta "
-              f"{fidelity.get('goodput_rel_delta')} "
-              f"(eps {fidelity.get('epsilon')}) -> "
-              f"{'PASS' if fidelity.get('gate_pass') else 'FAIL'}")
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     if failures:

@@ -113,7 +113,6 @@ analyzeSpans(const jsonlite::Value &spans, std::size_t runIndex,
 
     SpanReport r;
     r.label = run.at("label").string;
-    r.fidelity = run.at("fidelity").string;
     r.finalTick = static_cast<Tick>(run.at("finalTick").number);
     r.recordedSpans =
         static_cast<std::uint64_t>(run.at("recordedSpans").number);
@@ -168,11 +167,11 @@ printSpanReport(const SpanReport &r, std::ostream &os)
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "span report: %s, %llu PRs recorded, %llu kept, run "
-                  "ends at %.2f us (%s fidelity)\n",
+                  "ends at %.2f us\n",
                   r.label.c_str(),
                   static_cast<unsigned long long>(r.recordedSpans),
                   static_cast<unsigned long long>(r.keptSpans),
-                  ticks::toNs(r.finalTick) / 1e3, r.fidelity.c_str());
+                  ticks::toNs(r.finalTick) / 1e3);
     os << buf;
 
     for (const SpanExemplar &ex : r.exemplars) {

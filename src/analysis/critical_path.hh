@@ -116,7 +116,6 @@ struct SpanExemplar
 struct SpanReport
 {
     std::string label;
-    std::string fidelity;
     Tick finalTick = 0;
     std::uint64_t recordedSpans = 0;
     std::uint64_t keptSpans = 0;

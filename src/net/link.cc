@@ -67,13 +67,6 @@ Link::send(Packet &&pkt)
         // A dropped packet burns wire time (accounted above via
         // busyTicks_) but is never delivered, so it counts only in the
         // drop statistics - not in the sent packet/byte/payload totals.
-        // The congestion detector must still see that wire time: on a
-        // lossy link the drops are part of the load, and skipping the
-        // update here left re-promotion reading a busyUntil_ the
-        // detector never aged past (the window stayed stale until the
-        // next delivered packet, if any ever came).
-        if (flowEligible_ && !alwaysFlow_)
-            updateCongestion(eq_.now(), start, ser);
         ++dropped_;
         droppedBytes_ += wire;
         NS_TRACE(tw.instant(tw.track(name_), "drop", busyUntil_));
@@ -90,26 +83,6 @@ Link::send(Packet &&pkt)
     Tick arrival = busyUntil_ + cfg_.latency;
     std::uint64_t key = EventQueue::deliveryKey(orderingId_,
                                                deliverySeq_++);
-    if (flowEligible_ && flowRegime(eq_.now(), start, ser)) {
-        // Flow level: the delivery tick is already known in closed
-        // form, and the sink's receivePacket would only re-schedule
-        // the ingress work a fixed delay later - so schedule that work
-        // directly, under the same delivery key. One event per hop;
-        // fusedDeliver accounts the elided one.
-        Tick when = arrival + sinkIngressDelay_;
-        ++flowPackets_;
-        if (outbox_) {
-            outbox_->push(PendingDelivery{when, key, sink_, sinkPort_,
-                                          true, std::move(pkt)});
-            return;
-        }
-        eq_.scheduleDelivery(when, key,
-                             [this, p = std::move(pkt)]() mutable {
-                                 sink_->fusedDeliver(std::move(p),
-                                                     sinkPort_);
-                             });
-        return;
-    }
     // Zero-latency links cannot train: a same-tick flush could race
     // the append (and such configurations run single-shard anyway).
     if (cfg_.batchMaxPackets > 1 && cfg_.latency > 0) {
@@ -121,7 +94,7 @@ Link::send(Packet &&pkt)
         // mailbox; it schedules the delivery on its own queue under the
         // same key at the next epoch barrier.
         outbox_->push(PendingDelivery{arrival, key, sink_, sinkPort_,
-                                      false, std::move(pkt)});
+                                      std::move(pkt)});
         return;
     }
     // The callback owns the packet until delivery (moved into pooled
@@ -146,8 +119,7 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
             ++back.count;
             if (outbox_)
                 outbox_->push(PendingDelivery{back.deadline, key, sink_,
-                                              sinkPort_, false,
-                                              std::move(pkt)});
+                                              sinkPort_, std::move(pkt)});
             else
                 back.pkts.push_back(std::move(pkt));
             return;
@@ -165,8 +137,7 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
         t.count = 1;
         if (outbox_) {
             outbox_->push(PendingDelivery{t.deadline, key, sink_,
-                                          sinkPort_, false,
-                                          std::move(pkt)});
+                                          sinkPort_, std::move(pkt)});
         } else {
             t.pkts = BufferArena<Packet>::local().acquire(
                 cfg_.batchMaxPackets);
@@ -180,7 +151,7 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
     // Idle wire: deliver exactly on time, per packet.
     if (outbox_) {
         outbox_->push(PendingDelivery{arrival, key, sink_, sinkPort_,
-                                      false, std::move(pkt)});
+                                      std::move(pkt)});
         return;
     }
     eq_.scheduleDelivery(arrival, key,
@@ -201,42 +172,6 @@ Link::flushTrain()
     for (auto &p : t.pkts)
         sink_->receivePacket(std::move(p), sinkPort_);
     BufferArena<Packet>::local().recycle(std::move(t.pkts));
-}
-
-bool
-Link::updateCongestion(Tick now, Tick start, Tick ser)
-{
-    // Sliding utilization window: restart once it lapses, otherwise
-    // accumulate this packet's wire time into it. busyUntil_ already
-    // includes the current packet (send() updates it first).
-    if (now - windowStart_ >= flowCfg_.utilizationWindow) {
-        windowStart_ = now;
-        windowBusy_ = 0;
-    }
-    windowBusy_ += ser;
-    bool queued = start > now;
-    bool hot = static_cast<double>(windowBusy_) >
-               flowCfg_.demoteUtilization *
-                   static_cast<double>(flowCfg_.utilizationWindow);
-    if (queued || hot) {
-        if (congestedUntil_ <= now)
-            ++demotions_;
-        Tick until = busyUntil_ + flowCfg_.quietPeriod;
-        if (until > congestedUntil_)
-            congestedUntil_ = until;
-        return true;
-    }
-    return false;
-}
-
-bool
-Link::flowRegime(Tick now, Tick start, Tick ser)
-{
-    if (alwaysFlow_)
-        return true;
-    if (updateCongestion(now, start, ser))
-        return false;
-    return congestedUntil_ <= now;
 }
 
 } // namespace netsparse

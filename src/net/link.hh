@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/fault_model.hh"
-#include "net/fidelity.hh"
 #include "net/protocol.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
@@ -38,29 +37,6 @@ class PacketSink
 
     /** Deliver @p pkt, which arrived on the receiver's port @p inPort. */
     virtual void receivePacket(Packet &&pkt, std::uint32_t inPort) = 0;
-
-    /**
-     * Flow-fidelity fusion (net/fidelity.hh): a sink whose
-     * receivePacket does nothing but schedule ingress work a fixed
-     * delay later may advertise that delay here, letting an uncongested
-     * link schedule fusedDeliver directly at arrival + delay - one
-     * event per hop instead of two, with identical modeled timing.
-     * A negative-equivalent answer (fusedCapable() == false, the
-     * default) keeps per-packet exact delivery.
-     */
-    virtual bool fusedCapable() const { return false; }
-    /** Ingress delay fused delivery skips over (fusedCapable only). */
-    virtual Tick fusedIngressDelay() const { return 0; }
-    /**
-     * Run the ingress work at now() == arrival + fusedIngressDelay(),
-     * accounting the elided hop event (EventQueue::addExecutedEvents)
-     * so the logical event count matches the exact path.
-     */
-    virtual void
-    fusedDeliver(Packet &&pkt, std::uint32_t inPort)
-    {
-        receivePacket(std::move(pkt), inPort);
-    }
 };
 
 /**
@@ -74,8 +50,6 @@ struct PendingDelivery
     std::uint64_t key = 0;
     PacketSink *sink = nullptr;
     std::uint32_t port = 0;
-    /** Flow-fidelity fused hop: schedule sink->fusedDeliver instead. */
-    bool fused = false;
     Packet pkt;
 };
 
@@ -167,35 +141,6 @@ class Link
     void setCrossShardOutbox(DeliveryMailbox *outbox) { outbox_ = outbox; }
     bool crossShard() const { return outbox_ != nullptr; }
 
-    /**
-     * Select the link's fidelity regime (net/fidelity.hh). Must run
-     * after construction and before the first send; Exact (the
-     * default) keeps the per-packet delivery path untouched.
-     */
-    void
-    configureFidelity(FidelityMode mode, const FlowFidelityConfig &flow)
-    {
-        flowEligible_ = mode != FidelityMode::Exact &&
-                        sink_->fusedCapable();
-        alwaysFlow_ = mode == FidelityMode::Flow;
-        flowCfg_ = flow;
-        sinkIngressDelay_ = flowEligible_ ? sink_->fusedIngressDelay()
-                                          : 0;
-    }
-
-    /** Packets delivered analytically (flow regime, fused events). */
-    std::uint64_t flowPackets() const { return flowPackets_; }
-    /** Flow -> packet regime transitions the detector took. */
-    std::uint64_t flowDemotions() const { return demotions_; }
-    /** True while the congestion detector holds the link at packet
-     *  fidelity (diagnostics; reads the owning queue's clock). */
-    bool
-    demoted() const
-    {
-        return flowEligible_ && !alwaysFlow_ &&
-               congestedUntil_ > eq_.now();
-    }
-
     // Statistics.
     std::uint64_t packetsSent() const { return packets_; }
     std::uint64_t bytesSent() const { return bytes_; }
@@ -253,24 +198,6 @@ class Link
     /** Deliver the oldest train (its scheduled flush event). */
     void flushTrain();
 
-    /**
-     * Feed one send into the congestion detector (net/fidelity.hh):
-     * updates the sliding utilization window and, when the send was
-     * queued or the window is hot, extends the demotion window from
-     * the busy-until chain. Every send that burns wire time must pass
-     * through here - including faulted (dropped) ones, whose wire time
-     * otherwise never ages busyUntil_ out of the detector and can
-     * leave a quiet link demoted for the rest of the run.
-     * @return true when this send demands packet fidelity right now.
-     */
-    bool updateCongestion(Tick now, Tick start, Tick ser);
-
-    /**
-     * The congestion detector query, evaluated on the send path.
-     * @return true when this packet should take the flow-level path.
-     */
-    bool flowRegime(Tick now, Tick start, Tick ser);
-
     EventQueue &eq_;
     LinkConfig cfg_;
     ProtocolParams proto_;
@@ -293,21 +220,6 @@ class Link
     std::uint64_t dropped_ = 0;
     std::uint64_t droppedBytes_ = 0;
     Tick busyTicks_ = 0;
-
-    // Hybrid-fidelity state (configureFidelity / flowRegime). All of it
-    // is link-local and mutated only on the send path, so regime
-    // decisions are deterministic and shard-count-invariant.
-    bool flowEligible_ = false;
-    bool alwaysFlow_ = false;
-    FlowFidelityConfig flowCfg_;
-    Tick sinkIngressDelay_ = 0;
-    /** Demoted to packet fidelity until this tick (0 = flow regime). */
-    Tick congestedUntil_ = 0;
-    /** Sliding utilization window (flowCfg_.utilizationWindow). */
-    Tick windowStart_ = 0;
-    Tick windowBusy_ = 0;
-    std::uint64_t flowPackets_ = 0;
-    std::uint64_t demotions_ = 0;
 };
 
 } // namespace netsparse

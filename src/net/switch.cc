@@ -80,30 +80,18 @@ Switch::configureForKernel(std::uint32_t prop_bytes)
 }
 
 void
-Switch::recordPipeSpan(const Packet &pkt, Tick arrival, Tick delay,
-                       std::uint32_t inPort)
-{
-    // Identical events from the exact and fused delivery paths: both
-    // describe [arrival, arrival + pipe delay], so the regime a
-    // deterministic congestion detector picks never changes the span
-    // document.
-    SpanBuffer *sb = eq_.spans();
-    if (!sb)
-        return;
-    for (const auto &pr : pkt.prs)
-        if (pr.spanId != 0)
-            sb->record(pr.spanId, SpanStage::SwitchPipe, spanComp_,
-                       arrival, delay, inPort);
-}
-
-void
 Switch::receivePacket(Packet &&pkt, std::uint32_t in_port)
 {
     Tick delay = cfg_.pipelineLatency;
     if (cfg_.netsparseEnabled)
         delay += cacheLatency_;
-    if (pkt.spanned)
-        recordPipeSpan(pkt, eq_.now(), delay, in_port);
+    if (pkt.spanned) {
+        if (SpanBuffer *sb = eq_.spans())
+            for (const auto &pr : pkt.prs)
+                if (pr.spanId != 0)
+                    sb->record(pr.spanId, SpanStage::SwitchPipe,
+                               spanComp_, eq_.now(), delay, in_port);
+    }
     NS_TRACE(tw.complete(
         tw.track(name_), "pipe", eq_.now(), eq_.now() + delay,
         traceArgs({{"prs", static_cast<double>(pkt.prs.size())},
@@ -116,29 +104,6 @@ Switch::receivePacket(Packet &&pkt, std::uint32_t in_port)
         else
             forward(std::move(p));
     });
-}
-
-void
-Switch::fusedDeliver(Packet &&pkt, std::uint32_t in_port)
-{
-    // The fused hop (net/fidelity.hh): the upstream link scheduled this
-    // call directly at arrival + fusedIngressDelay(), skipping the
-    // arrival-time event receivePacket would have burned re-scheduling
-    // the pipe work. Account that elided event so executedEvents()
-    // matches the exact path, and emit the same pipe span.
-    eq_.addExecutedEvents(1);
-    if (pkt.spanned)
-        recordPipeSpan(pkt, eq_.now() - fusedIngressDelay(),
-                       fusedIngressDelay(), in_port);
-    NS_TRACE(tw.complete(
-        tw.track(name_), "pipe", eq_.now() - fusedIngressDelay(),
-        eq_.now(),
-        traceArgs({{"prs", static_cast<double>(pkt.prs.size())},
-                   {"inPort", static_cast<double>(in_port)}})));
-    if (cfg_.netsparseEnabled && !pkt.rawBytes)
-        processMiddlePipe(std::move(pkt), in_port);
-    else
-        forward(std::move(pkt));
 }
 
 PropertyCache &

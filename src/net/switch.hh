@@ -123,22 +123,6 @@ class Switch : public PacketSink
 
     void receivePacket(Packet &&pkt, std::uint32_t inPort) override;
 
-    /**
-     * Flow-fidelity fusion (net/fidelity.hh): receivePacket above does
-     * nothing at arrival except re-schedule the pipe work a fixed delay
-     * later, so an uncongested upstream link may schedule fusedDeliver
-     * directly at arrival + fusedIngressDelay() under the same delivery
-     * key - identical modeled timing, one event per hop instead of two.
-     */
-    bool fusedCapable() const override { return true; }
-    Tick
-    fusedIngressDelay() const override
-    {
-        return cfg_.pipelineLatency +
-               (cfg_.netsparseEnabled ? cacheLatency_ : 0);
-    }
-    void fusedDeliver(Packet &&pkt, std::uint32_t inPort) override;
-
     SwitchId id() const { return id_; }
     const std::string &name() const { return name_; }
 
@@ -233,10 +217,6 @@ class Switch : public PacketSink
     std::vector<std::unique_ptr<PropertyCache>> caches_;
     std::vector<std::unique_ptr<Concatenator>> concats_;
     Tick cacheLatency_ = 0;
-
-    /** Record the pipe-crossing span event for a traced packet. */
-    void recordPipeSpan(const Packet &pkt, Tick arrival, Tick delay,
-                        std::uint32_t inPort);
 
     /** Span component id (sim/span.hh); meaningful only when spans on. */
     std::uint32_t spanComp_ = 0;

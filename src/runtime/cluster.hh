@@ -96,22 +96,6 @@ struct ClusterConfig
     bool eventBatching = false;
 
     /**
-     * Network fidelity regime (net/fidelity.hh, --fidelity). Exact
-     * keeps per-packet delivery everywhere. Hybrid lets each link
-     * fast-forward analytically (fused delivery events) while its
-     * congestion detector sees an empty output queue and sub-threshold
-     * utilization, demoting to packet fidelity otherwise; switch
-     * internals (output queues, Property Cache ports, concatenator
-     * delay queues) are always modeled exactly. Flow pins every capable
-     * link to the analytical path regardless of congestion
-     * (validation/ablation only). See docs/performance.md for the
-     * validity envelope.
-     */
-    FidelityMode fidelity = FidelityMode::Exact;
-    /** Congestion-detector tuning for Hybrid fidelity. */
-    FlowFidelityConfig flow;
-
-    /**
      * Export per-shard arena allocator accounting under
      * "cluster.memory.*" (--memory-stats). Off by default: the numbers
      * are a host-side diagnostic of the simulator process (they vary
@@ -228,16 +212,6 @@ struct GatherRunResult
     Tick lookaheadTicks = 0;
     /** Epoch barriers the parallel run took (0 sequential). */
     std::uint64_t epochs = 0;
-
-    // Hybrid-fidelity observability (also outside the stats-JSON
-    // contract: a hybrid run's document must stay byte-identical to the
-    // exact run's wherever the validity envelope holds).
-    /** The fidelity regime this run used. */
-    FidelityMode fidelity = FidelityMode::Exact;
-    /** Packets delivered analytically (fused events), over all links. */
-    std::uint64_t flowPackets = 0;
-    /** Flow -> packet demotions the congestion detectors took. */
-    std::uint64_t flowDemotions = 0;
 
     // Resilience observability. The flags gate the exported keys so a
     // zero-fault, retry-off run's document stays byte-identical to the

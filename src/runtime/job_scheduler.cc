@@ -358,9 +358,6 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         // assigned, so the injected pattern is shard-count-invariant.
         if (cfg_.faults.enabled())
             link.configureFaults(cfg_.faults);
-        // Fidelity after faults: the regime decision is per send, so a
-        // faulted link may still fast-forward its uncongested spans.
-        link.configureFidelity(cfg_.fidelity, cfg_.flow);
         if (src_shard != dst_shard) {
             link.setCrossShardOutbox(
                 &mailboxes[src_shard][dst_shard].box);
@@ -647,14 +644,9 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
                             dst.scheduleDelivery(
                                 rec.when, rec.key,
                                 [sink = rec.sink, port = rec.port,
-                                 fused = rec.fused,
                                  p = std::move(rec.pkt)]() mutable {
-                                    if (fused)
-                                        sink->fusedDeliver(std::move(p),
-                                                           port);
-                                    else
-                                        sink->receivePacket(std::move(p),
-                                                            port);
+                                    sink->receivePacket(std::move(p),
+                                                        port);
                                 });
                         });
                 }
@@ -684,7 +676,6 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
             bufs.push_back(b.get());
         SpanRun &srun = SpanSink::instance().beginRun();
         srun.params = span_params;
-        srun.fidelity = fidelityName(cfg_.fidelity);
         srun.finalTick = final_tick;
         srun.components = span_comps;
         buildSpanRun(srun, bufs);
@@ -804,7 +795,6 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         }
         r.recoveryEnabled = recovery_enabled;
         r.faultsEnabled = cfg_.faults.enabled();
-        r.fidelity = cfg_.fidelity;
         r.avgPrsPerPacket =
             job_rx_packets ? static_cast<double>(job_rx_prs) /
                                  job_rx_packets
@@ -865,8 +855,6 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         for (const auto &l : links) {
             r.totalWireBytes += l->bytesSent();
             r.packetsDropped += l->packetsDropped();
-            r.flowPackets += l->flowPackets();
-            r.flowDemotions += l->flowDemotions();
             if (const LinkFaultInjector *fi = l->faults()) {
                 r.corruptedPrs += fi->stats().corruptedPrs;
                 r.linkDownDrops += fi->stats().linkDownDrops;

@@ -255,8 +255,9 @@ exportSpansToTrace(TraceWriter &tw, const SpanRun &run)
                         static_cast<double>(span.info.tenant)},
                        {"reqId", static_cast<double>(span.info.reqId)},
                        {"src", static_cast<double>(span.info.src)}});
-        args += ",\"fidelity\":\"" + run.fidelity + "\",\"kept\":\"" +
-                span.kept + "\"";
+        args += ",\"fidelity\":\"exact\",\"kept\":\"";
+        args += span.kept;
+        args += '"';
         // The span envelope, then one nested slice per timed stage.
         tw.asyncBegin(track, "pr", span.info.spanId, span.info.issueTick,
                       std::move(args));
@@ -359,8 +360,9 @@ SpanSink::toJson() const
            << ",\"tailKeep\":" << run.params.tailKeep
            << ",\"tailThresholdTicks\":" << run.params.tailThreshold
            << ",\"seed\":\"" << hexId(run.params.seed)
-           << "\",\"fidelity\":\"" << jsonEscape(run.fidelity)
-           << "\",\"finalTick\":" << run.finalTick
+           // Always "exact" (the only network model), kept so the
+           // netsparse-spans-v1 schema does not change.
+           << "\",\"fidelity\":\"exact\",\"finalTick\":" << run.finalTick
            << ",\"recordedSpans\":" << run.recordedSpans
            << ",\n\"components\":[";
         for (std::size_t c = 0; c < run.components.size(); ++c) {

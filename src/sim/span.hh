@@ -242,8 +242,6 @@ struct SpanRun
 {
     std::string label;
     SpanParams params;
-    /** Fidelity regime of the run ("exact", "hybrid", "flow"). */
-    std::string fidelity;
     Tick finalTick = 0;
     /** Spans recorded before selection (retired with a span id). */
     std::uint64_t recordedSpans = 0;
@@ -266,7 +264,7 @@ void buildSpanRun(SpanRun &run, const std::vector<SpanBuffer *> &bufs);
 /**
  * Emit @p run's kept spans as Perfetto async-span events ('b'/'e',
  * id = span id) on @p tw, one pair per critical-path segment, tagged
- * with tenant and fidelity regime.
+ * with tenant (plus a constant "fidelity":"exact" arg).
  */
 void exportSpansToTrace(TraceWriter &tw, const SpanRun &run);
 

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "analysis/comm_pattern.hh"
 #include "runtime/cluster.hh"
+#include "sim/stats_export.hh"
 #include "sparse/generators.hh"
 
 using namespace netsparse;
@@ -294,4 +296,34 @@ TEST(Gather, DeterministicAcrossRuns)
     EXPECT_EQ(a.cacheHits, b.cacheHits);
     for (NodeId n = 0; n < nodes; ++n)
         EXPECT_EQ(a.nodes[n].finishTick, b.nodes[n].finishTick);
+}
+
+/** The cluster.memory.* arena export (sim/arena.hh) is gated: absent
+ *  by default so the stats document stays byte-identical, present
+ *  under ClusterConfig::memoryStats. */
+TEST(Gather, MemoryStatsAreGated)
+{
+    Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
+    const std::uint32_t nodes = 16;
+    Partition1D part = Partition1D::equalRows(m.rows, nodes);
+    auto run_to_json = [&](const ClusterConfig &cfg) {
+        StatsExport collector;
+        collector.setCollect(true);
+        StatsExport::Bind bind(collector);
+        ClusterSim(cfg).runGather(m, part, 16);
+        return collector.toJson();
+    };
+
+    std::string off = run_to_json(smallCluster(nodes));
+    EXPECT_EQ(off.find("cluster.memory."), std::string::npos);
+
+    ClusterConfig cfg = smallCluster(nodes);
+    cfg.memoryStats = true;
+    std::string on = run_to_json(cfg);
+    EXPECT_NE(on.find("cluster.memory.arenaReservedBytes"),
+              std::string::npos);
+    EXPECT_NE(on.find("cluster.memory.arenaHighWaterBytes"),
+              std::string::npos);
+    EXPECT_NE(on.find("cluster.memory.arenaPoolHits"),
+              std::string::npos);
 }

@@ -142,76 +142,3 @@ TEST(Link, UtilizationTracksBusyFraction)
     eq.run();
     EXPECT_NEAR(link.utilization(), 28.8 / 478.8, 1e-6);
 }
-
-namespace {
-
-/** A fused-capable sink, so hybrid fidelity is eligible on the link. */
-struct FusedSink : PacketSink
-{
-    bool fusedCapable() const override { return true; }
-    Tick fusedIngressDelay() const override { return 0; }
-    void
-    receivePacket(Packet &&, std::uint32_t) override
-    {
-        ++exact;
-    }
-    void
-    fusedDeliver(Packet &&, std::uint32_t) override
-    {
-        ++fused;
-    }
-    int exact = 0;
-    int fused = 0;
-};
-
-} // namespace
-
-TEST(Link, DroppedSendsFeedTheCongestionDetector)
-{
-    // Regression: faulted (dropped-on-wire) sends burn wire time but
-    // used to bypass the congestion detector, so a queued burst whose
-    // tail was lost never demoted the link - and, symmetrically, the
-    // detector's window went stale until the next *delivered* packet.
-    // Drops are load; they must drive regime decisions like any send.
-    EventQueue eq;
-    FusedSink sink;
-    Link link(eq, {}, {}, &sink, 0, "l6");
-    link.configureFaults(FaultConfig{});
-    link.configureFidelity(FidelityMode::Hybrid, FlowFidelityConfig{});
-    int sends = 0;
-    link.faults()->scriptDrop([&](const Packet &) {
-        int n = sends++;
-        return n == 1 || n == 2; // lose the two queued packets
-    });
-
-    // t=0, idle wire: the first packet rides the flow path.
-    link.send(soloPacket(100));
-    EXPECT_EQ(link.flowPackets(), 1u);
-    EXPECT_FALSE(link.demoted());
-
-    // Two more sends at t=0 queue behind it - and both are dropped.
-    // Queueing evidence from a dropped send must still demote.
-    link.send(soloPacket(100));
-    link.send(soloPacket(100));
-    EXPECT_EQ(link.packetsDropped(), 2u);
-    EXPECT_EQ(link.flowDemotions(), 1u);
-    EXPECT_TRUE(link.demoted());
-
-    // An idle-wire send inside the quiet period stays packet-exact.
-    Tick busy = 3u * 3560u * ticks::ps;
-    eq.schedule(busy + ticks::ns, [] {});
-    eq.run();
-    link.send(soloPacket(100));
-    EXPECT_EQ(link.flowPackets(), 1u);
-
-    // Once the wire has been quiet past the hold window, the link
-    // re-promotes: the next send fuses again.
-    eq.schedule(eq.now() + 20 * ticks::us, [] {});
-    eq.run();
-    link.send(soloPacket(100));
-    EXPECT_EQ(link.flowPackets(), 2u);
-    EXPECT_FALSE(link.demoted());
-    eq.run();
-    EXPECT_EQ(sink.fused, 2);
-    EXPECT_EQ(sink.exact, 1);
-}
