@@ -73,6 +73,7 @@
  */
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -146,6 +147,39 @@ parseUint(const char *flag, const char *text)
     return v;
 }
 
+/**
+ * Checked floating-point parse for CLI flags, the std::atof
+ * counterpart of parseUint: only a finite number >= 0 (> 0 when
+ * @p positive) is accepted; anything else exits 2 naming the flag.
+ */
+double
+parseDouble(const char *flag, const char *text, bool positive = false)
+{
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v) ||
+        v < 0.0 || (positive && v == 0.0)) {
+        std::fprintf(stderr, "%s: expected a %s number, got '%s'\n", flag,
+                     positive ? "positive" : "non-negative", text);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** A parseDouble flag in simulated microseconds, as ticks. */
+Tick
+parseMicros(const char *flag, const char *text)
+{
+    double t = parseDouble(flag, text) * static_cast<double>(ticks::us);
+    if (t >= 0x1p64) { // past the 64-bit Tick range
+        std::fprintf(stderr, "%s: %s us overflows the simulated clock\n",
+                     flag, text);
+        std::exit(2);
+    }
+    return static_cast<Tick>(t);
+}
+
 } // namespace
 
 int
@@ -166,10 +200,10 @@ main(int argc, char **argv)
     bool memory_stats = false;
     bool dump_stats = false;
     std::string stats_json, trace_out, faults_spec, telemetry_out;
-    double telemetry_interval_us = 10.0;
+    Tick telemetry_interval = 10 * ticks::us;
     std::string spans_out;
     std::uint64_t span_sample = 0, span_tail_keep = 0;
-    double span_tail_threshold_us = 0.0;
+    Tick span_tail_threshold = 0;
     bool span_knob = false;
     std::uint32_t num_jobs = 1;
     std::string background_spec, switch_queue = "fifo",
@@ -185,7 +219,7 @@ main(int argc, char **argv)
         if (a == "--matrix")
             matrix_arg = next();
         else if (a == "--scale")
-            scale = std::atof(next());
+            scale = parseDouble("--scale", next(), true);
         else if (a == "--nodes")
             nodes = static_cast<std::uint32_t>(
                 parseUint("--nodes", next()));
@@ -230,7 +264,8 @@ main(int argc, char **argv)
         else if (a == "--telemetry-out")
             telemetry_out = next();
         else if (a == "--telemetry-interval")
-            telemetry_interval_us = std::atof(next());
+            telemetry_interval =
+                parseMicros("--telemetry-interval", next());
         else if (a == "--spans-out")
             spans_out = next();
         else if (a == "--span-sample") {
@@ -240,7 +275,8 @@ main(int argc, char **argv)
             span_tail_keep = parseUint("--span-tail-keep", next());
             span_knob = true;
         } else if (a == "--span-tail-threshold-us") {
-            span_tail_threshold_us = std::atof(next());
+            span_tail_threshold =
+                parseMicros("--span-tail-threshold-us", next());
             span_knob = true;
         }
         else if (a == "--jobs")
@@ -360,8 +396,7 @@ main(int argc, char **argv)
     cfg.tenantCachePartitioned = cache_mode == "partitioned";
     if (!faults_spec.empty())
         cfg.faults = FaultConfig::parse(faults_spec);
-    cfg.telemetryInterval = static_cast<Tick>(
-        telemetry_interval_us * static_cast<double>(ticks::us));
+    cfg.telemetryInterval = telemetry_interval;
     if (!telemetry_out.empty() && cfg.telemetryInterval == 0) {
         std::fprintf(stderr,
                      "--telemetry-out needs a positive "
@@ -376,12 +411,10 @@ main(int argc, char **argv)
     if (!spans_out.empty()) {
         cfg.spans.sampleEvery = static_cast<std::uint32_t>(span_sample);
         cfg.spans.tailKeep = static_cast<std::uint32_t>(span_tail_keep);
-        cfg.spans.tailThreshold = static_cast<Tick>(
-            span_tail_threshold_us * static_cast<double>(ticks::us));
-        // A bare --spans-out means "give me a representative sample".
-        if (!span_knob)
-            cfg.spans.sampleEvery = 64;
-        if (!cfg.spans.enabled()) {
+        cfg.spans.tailThreshold = span_tail_threshold;
+        // A bare --spans-out leaves every knob zero; JobScheduler::run
+        // then records its representative 1/64 sample.
+        if (span_knob && !cfg.spans.enabled()) {
             std::fprintf(stderr,
                          "--spans-out: all span knobs are zero; nothing "
                          "would be recorded\n");

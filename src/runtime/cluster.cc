@@ -18,19 +18,6 @@ defaultClusterConfig(std::uint32_t nodes)
     return cfg;
 }
 
-ClusterSim::ClusterSim(ClusterConfig cfg) : cfg_(std::move(cfg))
-{
-    if (cfg_.eventBatching) {
-        if (cfg_.link.batchMaxPackets <= 1)
-            cfg_.link.batchMaxPackets = 16;
-        cfg_.snic.batchedServerReads = true;
-    }
-    ns_assert(cfg_.numNodes >= 1, "cluster needs nodes");
-    ns_assert(!cfg_.features.switchCache || cfg_.features.concatSwitch,
-              "the Property Cache lives in the middle pipes; enable "
-              "switch concatenation with it");
-}
-
 GatherRunResult
 ClusterSim::runGather(const Csr &m, const Partition1D &part,
                       std::uint32_t k)

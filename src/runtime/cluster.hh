@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "host/host_node.hh"
@@ -124,8 +125,9 @@ struct ClusterConfig
     /**
      * Causal span tracing (sim/span.hh, --spans-out): 1/N sampling
      * and/or tail-exemplar capture. Takes effect only when the SpanSink
-     * is enabled; the all-zero default records nothing and leaves every
-     * other output document byte-identical.
+     * is enabled; the all-zero default then samples 1 in 64
+     * (JobScheduler::run). With the sink off every other output
+     * document is byte-identical.
      */
     SpanParams spans;
 
@@ -294,7 +296,8 @@ struct GatherWorkload
 class ClusterSim
 {
   public:
-    explicit ClusterSim(ClusterConfig cfg);
+    /** Defaulting and validation happen in the JobScheduler. */
+    explicit ClusterSim(ClusterConfig cfg) : cfg_(std::move(cfg)) {}
 
     /**
      * Run the communication phase of one kernel iteration: every node
@@ -312,8 +315,6 @@ class ClusterSim
      * paper-scale path). The workload's streams are consumed.
      */
     GatherRunResult runGather(GatherWorkload &&work, std::uint32_t k);
-
-    const ClusterConfig &config() const { return cfg_; }
 
   private:
     ClusterConfig cfg_;

@@ -696,7 +696,7 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         for (const auto &p : probes)
             ns_assert(p->numSamples() == samples,
                       "telemetry probes disagree on the sample count");
-        TelemetrySink::Run &trun = TelemetrySink::instance().beginRun();
+        TelemetryRun &trun = TelemetrySink::instance().beginRun();
         trun.intervalTicks = tele_interval;
         trun.finalTick = final_tick;
         trun.sampleTicks.reserve(samples);

@@ -2,26 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "sim/logging.hh"
-#include "sim/stats_export.hh"
 #include "sim/trace.hh"
 
 namespace netsparse {
 
 namespace {
-
-void
-atexitWrite()
-{
-    SpanSink::global().writeFile();
-}
-
-/** The calling thread's bound sink; null means "use the global". */
-thread_local SpanSink *tlsSink = nullptr;
 
 /** "a should be kept over b" under the global tail-selection order. */
 bool
@@ -278,156 +265,53 @@ exportSpansToTrace(TraceWriter &tw, const SpanRun &run)
     }
 }
 
-SpanSink &
-SpanSink::instance()
-{
-    return tlsSink ? *tlsSink : global();
-}
-
-SpanSink &
-SpanSink::global()
-{
-    static SpanSink sink;
-    return sink;
-}
-
-SpanSink::Bind::Bind(SpanSink &s) : prev_(tlsSink)
-{
-    tlsSink = &s;
-}
-
-SpanSink::Bind::~Bind()
-{
-    tlsSink = prev_;
-}
-
-bool
-SpanSink::setOutputPath(const std::string &path)
-{
-    if (!path.empty()) {
-        std::ofstream probe(path, std::ios::app);
-        if (!probe) {
-            ns_warn("cannot open spans output ", path);
-            return false;
-        }
-    }
-    path_ = path;
-    written_ = false;
-
-    static bool atexit_registered = false;
-    if (!atexit_registered) {
-        std::atexit(atexitWrite);
-        atexit_registered = true;
-    }
-    return true;
-}
-
-SpanRun &
-SpanSink::beginRun(const std::string &label)
-{
-    auto run = std::make_unique<SpanRun>();
-    run->label = label;
-    runs_.push_back(std::move(run));
-    written_ = false;
-    return *runs_.back();
-}
-
 void
-SpanSink::absorb(SpanSink &&other)
+RunFormat<SpanRun>::write(std::ostream &os, const SpanRun &run)
 {
-    if (other.runs_.empty())
-        return;
-    runs_.reserve(runs_.size() + other.runs_.size());
-    for (auto &run : other.runs_)
-        runs_.push_back(std::move(run));
-    other.runs_.clear();
-    written_ = false;
-}
-
-std::string
-SpanSink::toJson() const
-{
-    std::ostringstream os;
-    os << "{\n\"schema\": \"netsparse-spans-v1\",\n\"runs\": [";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-        if (i)
+    os << ",\"sampleEvery\":" << run.params.sampleEvery
+       << ",\"tailKeep\":" << run.params.tailKeep
+       << ",\"tailThresholdTicks\":" << run.params.tailThreshold
+       << ",\"seed\":\"" << hexId(run.params.seed)
+       // Always "exact" (the only network model), kept so the
+       // netsparse-spans-v1 schema does not change.
+       << "\",\"fidelity\":\"exact\",\"finalTick\":" << run.finalTick
+       << ",\"recordedSpans\":" << run.recordedSpans
+       << ",\n\"components\":[";
+    for (std::size_t c = 0; c < run.components.size(); ++c) {
+        if (c)
             os << ',';
-        const SpanRun &run = *runs_[i];
-        os << "\n{\"run\":" << i << ",\"label\":\""
-           << (run.label.empty() ? "gather" + std::to_string(i)
-                                 : jsonEscape(run.label))
-           << "\",\"sampleEvery\":" << run.params.sampleEvery
-           << ",\"tailKeep\":" << run.params.tailKeep
-           << ",\"tailThresholdTicks\":" << run.params.tailThreshold
-           << ",\"seed\":\"" << hexId(run.params.seed)
-           // Always "exact" (the only network model), kept so the
-           // netsparse-spans-v1 schema does not change.
-           << "\",\"fidelity\":\"exact\",\"finalTick\":" << run.finalTick
-           << ",\"recordedSpans\":" << run.recordedSpans
-           << ",\n\"components\":[";
-        for (std::size_t c = 0; c < run.components.size(); ++c) {
-            if (c)
-                os << ',';
-            os << '"' << jsonEscape(run.components[c]) << '"';
-        }
-        os << "],\n\"spans\":[";
-        for (std::size_t s = 0; s < run.spans.size(); ++s) {
-            const SpanRecord &span = run.spans[s];
-            if (s)
-                os << ',';
-            os << "\n{\"spanId\":\"" << hexId(span.info.spanId)
-               << "\",\"tenant\":" << span.info.tenant
-               << ",\"src\":" << span.info.src
-               << ",\"srcTid\":" << span.info.srcTid
-               << ",\"reqId\":" << span.info.reqId
-               << ",\"issueTick\":" << span.info.issueTick
-               << ",\"retireTick\":" << span.info.retireTick
-               << ",\"totalTicks\":" << span.info.totalTicks()
-               << ",\"servedByCache\":"
-               << (span.info.servedByCache ? "true" : "false")
-               << ",\"retransmits\":" << span.info.retransmits
-               << ",\"kept\":\"" << span.kept << "\",\"finisher\":"
-               << (span.finisher ? "true" : "false") << ",\n\"events\":[";
-            for (std::size_t e = 0; e < span.events.size(); ++e) {
-                const SpanEvent &ev = span.events[e];
-                if (e)
-                    os << ',';
-                os << "\n{\"stage\":\"" << spanStageName(ev.stage)
-                   << "\",\"tick\":" << ev.tick
-                   << ",\"durTicks\":" << ev.dur
-                   << ",\"comp\":" << ev.comp
-                   << ",\"detail\":" << ev.detail
-                   << ",\"parent\":" << span.parent[e] << '}';
-            }
-            os << "]}";
-        }
-        os << "\n]}";
+        os << '"' << jsonEscape(run.components[c]) << '"';
     }
-    os << "\n]\n}\n";
-    return os.str();
-}
-
-void
-SpanSink::writeFile()
-{
-    if (path_.empty() || written_)
-        return;
-    std::ofstream os(path_);
-    if (!os) {
-        ns_warn("cannot write spans output ", path_);
-        return;
+    os << "],\n\"spans\":[";
+    for (std::size_t s = 0; s < run.spans.size(); ++s) {
+        const SpanRecord &span = run.spans[s];
+        if (s)
+            os << ',';
+        os << "\n{\"spanId\":\"" << hexId(span.info.spanId)
+           << "\",\"tenant\":" << span.info.tenant
+           << ",\"src\":" << span.info.src
+           << ",\"srcTid\":" << span.info.srcTid
+           << ",\"reqId\":" << span.info.reqId
+           << ",\"issueTick\":" << span.info.issueTick
+           << ",\"retireTick\":" << span.info.retireTick
+           << ",\"totalTicks\":" << span.info.totalTicks()
+           << ",\"servedByCache\":"
+           << (span.info.servedByCache ? "true" : "false")
+           << ",\"retransmits\":" << span.info.retransmits
+           << ",\"kept\":\"" << span.kept << "\",\"finisher\":"
+           << (span.finisher ? "true" : "false") << ",\n\"events\":[";
+        for (std::size_t e = 0; e < span.events.size(); ++e) {
+            const SpanEvent &ev = span.events[e];
+            if (e)
+                os << ',';
+            os << "\n{\"stage\":\"" << spanStageName(ev.stage)
+               << "\",\"tick\":" << ev.tick << ",\"durTicks\":" << ev.dur
+               << ",\"comp\":" << ev.comp << ",\"detail\":" << ev.detail
+               << ",\"parent\":" << span.parent[e] << '}';
+        }
+        os << "]}";
     }
-    os << toJson();
-    written_ = true;
-}
-
-void
-SpanSink::reset()
-{
-    runs_.clear();
-    path_.clear();
-    collect_ = false;
-    written_ = false;
+    os << "\n]}";
 }
 
 } // namespace netsparse

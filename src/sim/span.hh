@@ -39,13 +39,14 @@
 #define NETSPARSE_SIM_SPAN_HH
 
 #include <cstdint>
-#include <memory>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "sim/rng.hh"
+#include "sim/run_document.hh"
 #include "sim/types.hh"
 
 namespace netsparse {
@@ -240,7 +241,6 @@ struct SpanRecord
 /** One run section of the netsparse-spans-v1 document. */
 struct SpanRun
 {
-    std::string label;
     SpanParams params;
     Tick finalTick = 0;
     /** Spans recorded before selection (retired with a span id). */
@@ -268,70 +268,16 @@ void buildSpanRun(SpanRun &run, const std::vector<SpanBuffer *> &bufs);
  */
 void exportSpansToTrace(TraceWriter &tw, const SpanRun &run);
 
-/** The collector behind --spans-out; mirrors TelemetrySink. */
-class SpanSink
+template <>
+struct RunFormat<SpanRun>
 {
-  public:
-    /** The sink bound to the calling thread (default: global()). */
-    static SpanSink &instance();
-
-    /** The process-wide sink behind --spans-out / atexit. */
-    static SpanSink &global();
-
-    /** RAII thread binding for sweep workers. */
-    class Bind
-    {
-      public:
-        explicit Bind(SpanSink &s);
-        ~Bind();
-        Bind(const Bind &) = delete;
-        Bind &operator=(const Bind &) = delete;
-
-      private:
-        SpanSink *prev_;
-    };
-
-    SpanSink() = default;
-    SpanSink(const SpanSink &) = delete;
-    SpanSink &operator=(const SpanSink &) = delete;
-
-    /**
-     * Enable collection and write the document to @p path at
-     * writeFile() / process exit. Probe-opens immediately; returns
-     * false (collection stays off) when the path cannot be created.
-     */
-    bool setOutputPath(const std::string &path);
-
-    /** Enable (or disable) collection without an output path. */
-    void setCollect(bool on) { collect_ = on; }
-
-    /** True when the scheduler should capture spans. */
-    bool enabled() const { return collect_ || !path_.empty(); }
-
-    /** Open a new run section ("gather<N>" label when empty). */
-    SpanRun &beginRun(const std::string &label = {});
-
-    /** Move every run of @p other to the end of this document. */
-    void absorb(SpanSink &&other);
-
-    /** The whole document as a JSON string. */
-    std::string toJson() const;
-
-    /** Write the document to the configured path. */
-    void writeFile();
-
-    /** Drop collected runs and disable (tests / repeated tools). */
-    void reset();
-
-    std::size_t numRuns() const { return runs_.size(); }
-    const SpanRun &run(std::size_t i) const { return *runs_[i]; }
-
-  private:
-    std::string path_;
-    bool collect_ = false;
-    std::vector<std::unique_ptr<SpanRun>> runs_;
-    bool written_ = false;
+    static constexpr const char *schema = "netsparse-spans-v1";
+    static constexpr const char *noun = "spans";
+    static void write(std::ostream &os, const SpanRun &run);
 };
+
+/** The collector behind --spans-out (sim/run_document.hh). */
+using SpanSink = RunDocument<SpanRun>;
 
 } // namespace netsparse
 

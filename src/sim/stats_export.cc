@@ -1,70 +1,6 @@
 #include "sim/stats_export.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include "sim/logging.hh"
-
 namespace netsparse {
-
-namespace {
-
-void
-atexitWrite()
-{
-    StatsExport::global().writeFile();
-}
-
-/** The calling thread's bound collector; null means "use the global". */
-thread_local StatsExport *tlsExport = nullptr;
-
-} // namespace
-
-void
-writeJsonNumber(std::ostream &os, double v)
-{
-    if (v != v || v > 1e308 || v < -1e308) {
-        os << "null";
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 writeStatsJson(const StatRegistry &reg, std::ostream &os)
@@ -120,120 +56,12 @@ writeStatsJson(const StatRegistry &reg, std::ostream &os)
     os << "\n}";
 }
 
-StatsExport &
-StatsExport::instance()
-{
-    return tlsExport ? *tlsExport : global();
-}
-
-StatsExport &
-StatsExport::global()
-{
-    static StatsExport exporter;
-    return exporter;
-}
-
-StatsExport::Bind::Bind(StatsExport &s) : prev_(tlsExport)
-{
-    tlsExport = &s;
-}
-
-StatsExport::Bind::~Bind()
-{
-    tlsExport = prev_;
-}
-
-bool
-StatsExport::setOutputPath(const std::string &path)
-{
-    // Probe-open now (append mode: creates the file, keeps any
-    // content) so a bad path - most commonly a directory that does
-    // not exist - fails loudly up front instead of producing a silent
-    // empty run when the atexit write finally discovers it.
-    if (!path.empty()) {
-        std::ofstream probe(path, std::ios::app);
-        if (!probe) {
-            ns_warn("cannot open stats output ", path);
-            return false;
-        }
-    }
-    path_ = path;
-    written_ = false;
-
-    static bool atexit_registered = false;
-    if (!atexit_registered) {
-        std::atexit(atexitWrite);
-        atexit_registered = true;
-    }
-    return true;
-}
-
-StatRegistry &
-StatsExport::beginRun(const std::string &label)
-{
-    auto run = std::make_unique<Run>();
-    // Empty labels stay empty until serialization ("gather<N>" by final
-    // document position), so a run's number reflects where it lands
-    // after any sweep-order absorb(), not which collector created it.
-    run->label = label;
-    runs_.push_back(std::move(run));
-    written_ = false;
-    return runs_.back()->registry;
-}
-
 void
-StatsExport::absorb(StatsExport &&other)
+RunFormat<StatRegistry>::write(std::ostream &os, const StatRegistry &reg)
 {
-    if (other.runs_.empty())
-        return;
-    runs_.reserve(runs_.size() + other.runs_.size());
-    for (auto &run : other.runs_)
-        runs_.push_back(std::move(run));
-    other.runs_.clear();
-    written_ = false;
-}
-
-std::string
-StatsExport::toJson() const
-{
-    std::ostringstream os;
-    os << "{\n\"schema\": \"netsparse-stats-v1\",\n\"runs\": [";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-        if (i)
-            os << ',';
-        const std::string &label = runs_[i]->label;
-        os << "\n{\"run\":" << i << ",\"label\":\""
-           << (label.empty() ? "gather" + std::to_string(i)
-                             : jsonEscape(label))
-           << "\",\"stats\":";
-        writeStatsJson(runs_[i]->registry, os);
-        os << '}';
-    }
-    os << "\n]\n}\n";
-    return os.str();
-}
-
-void
-StatsExport::writeFile()
-{
-    if (path_.empty() || written_)
-        return;
-    std::ofstream os(path_);
-    if (!os) {
-        ns_warn("cannot write stats output ", path_);
-        return;
-    }
-    os << toJson();
-    written_ = true;
-}
-
-void
-StatsExport::reset()
-{
-    runs_.clear();
-    path_.clear();
-    collect_ = false;
-    written_ = false;
+    os << ",\"stats\":";
+    writeStatsJson(reg, os);
+    os << '}';
 }
 
 } // namespace netsparse

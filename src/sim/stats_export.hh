@@ -14,128 +14,38 @@
  * StatsExport is the collector behind the --stats-json flag (and the
  * NETSPARSE_STATS_JSON environment variable): every
  * ClusterSim::runGather() deposits a full registry snapshot into it,
- * and the collector writes all runs as one document
+ * and the collector (sim/run_document.hh) writes all runs as one
+ * document
  *
  *   {"schema":"netsparse-stats-v1",
  *    "runs":[{"run":0,"label":"gather0","stats":{...}}, ...]}
  *
- * either explicitly via writeFile() or automatically at process exit.
  * The stat naming contract is documented in docs/observability.md.
- *
- * instance() resolves to the calling thread's *bound* collector - by
- * default the process-wide one, but a parallel sweep (sim/sweep.hh)
- * binds a private per-run collector on each worker thread with
- * StatsExport::Bind and absorb()s the per-point runs back into the
- * global document in sweep order, so the emitted JSON is identical to a
- * sequential run. Single-threaded tools keep the singleton facade.
  */
 
 #ifndef NETSPARSE_SIM_STATS_EXPORT_HH
 #define NETSPARSE_SIM_STATS_EXPORT_HH
 
-#include <memory>
 #include <ostream>
-#include <string>
-#include <vector>
 
+#include "sim/run_document.hh"
 #include "sim/stats.hh"
 
 namespace netsparse {
 
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(const std::string &s);
-
-/** Print a double the way JSON wants (no inf/nan, full precision). */
-void writeJsonNumber(std::ostream &os, double v);
-
 /** Serialize @p reg as one JSON object (the "stats" value above). */
 void writeStatsJson(const StatRegistry &reg, std::ostream &os);
 
-/** A stats collector (see the thread-binding notes above). */
-class StatsExport
+template <>
+struct RunFormat<StatRegistry>
 {
-  public:
-    /** The collector bound to the calling thread (default: global()). */
-    static StatsExport &instance();
-
-    /** The process-wide collector behind --stats-json / atexit. */
-    static StatsExport &global();
-
-    /**
-     * RAII thread binding: while alive, instance() on this thread
-     * resolves to the given collector (bindings nest).
-     */
-    class Bind
-    {
-      public:
-        explicit Bind(StatsExport &s);
-        ~Bind();
-        Bind(const Bind &) = delete;
-        Bind &operator=(const Bind &) = delete;
-
-      private:
-        StatsExport *prev_;
-    };
-
-    /** Per-run collectors are plain objects; see Bind. */
-    StatsExport() = default;
-    StatsExport(const StatsExport &) = delete;
-    StatsExport &operator=(const StatsExport &) = delete;
-
-    /**
-     * Enable collection; the document is written to @p path by
-     * writeFile(), which is also registered atexit. The path is
-     * probe-opened immediately: returns false (and collection stays
-     * off) when it cannot be created, e.g. its directory is missing.
-     */
-    bool setOutputPath(const std::string &path);
-
-    /**
-     * Enable (or disable) collection without an output path - used by
-     * per-run sweep collectors whose runs are absorb()ed elsewhere.
-     */
-    void setCollect(bool on) { collect_ = on; }
-
-    /** True when runGather() should deposit snapshots here. */
-    bool enabled() const { return collect_ || !path_.empty(); }
-
-    /**
-     * Open a new run section labelled @p label and return its registry
-     * to fill. An empty label is auto-assigned "gather<N>" by its final
-     * document position at serialization time, so runs absorbed from
-     * per-point sweep collectors number identically to sequential runs.
-     */
-    StatRegistry &beginRun(const std::string &label = {});
-
-    /**
-     * Move every run of @p other to the end of this document (sweep
-     * merge; @p other is left empty but still enabled).
-     */
-    void absorb(StatsExport &&other);
-
-    /** The whole document as a JSON string. */
-    std::string toJson() const;
-
-    /** Write the document to the configured path. */
-    void writeFile();
-
-    /** Drop collected runs and disable (tests / repeated tools). */
-    void reset();
-
-    std::size_t numRuns() const { return runs_.size(); }
-
-  private:
-    struct Run
-    {
-        std::string label;
-        StatRegistry registry;
-    };
-
-    std::string path_;
-    bool collect_ = false;
-    std::vector<std::unique_ptr<Run>> runs_;
-    bool written_ = false;
+    static constexpr const char *schema = "netsparse-stats-v1";
+    static constexpr const char *noun = "stats";
+    static void write(std::ostream &os, const StatRegistry &reg);
 };
+
+/** The stats collector behind --stats-json. */
+using StatsExport = RunDocument<StatRegistry>;
 
 } // namespace netsparse
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -85,36 +84,28 @@ SweepExecutor::run(std::size_t n,
         return;
     }
 
-    StatsExport &ambientStats = StatsExport::instance();
-    const bool collectStats = ambientStats.enabled();
     TraceWriter &ambientTrace = TraceWriter::instance();
     const bool captureTrace = ambientTrace.enabled();
     const std::string tracePath = ambientTrace.path();
-
+    StatsExport &ambientStats = StatsExport::instance();
     TelemetrySink &ambientTelemetry = TelemetrySink::instance();
-    const bool collectTelemetry = ambientTelemetry.enabled();
-
     SpanSink &ambientSpans = SpanSink::instance();
-    const bool collectSpans = ambientSpans.enabled();
 
-    // Per-point sinks, absorbed in index order after the join so the
-    // merged documents match a sequential sweep byte for byte.
-    std::vector<std::unique_ptr<StatsExport>> pointStats(n);
-    std::vector<std::unique_ptr<TelemetrySink>> pointTelemetry(n);
-    std::vector<std::unique_ptr<SpanSink>> pointSpans(n);
+    // Per-point documents, absorbed in index order after the join so
+    // the merged documents match a sequential sweep byte for byte.
+    std::vector<StatsExport> pointStats(n);
+    std::vector<TelemetrySink> pointTelemetry(n);
+    std::vector<SpanSink> pointSpans(n);
     for (std::size_t i = 0; i < n; ++i) {
-        pointStats[i] = std::make_unique<StatsExport>();
-        pointStats[i]->setCollect(collectStats);
-        pointTelemetry[i] = std::make_unique<TelemetrySink>();
-        pointTelemetry[i]->setCollect(collectTelemetry);
-        pointSpans[i] = std::make_unique<SpanSink>();
-        pointSpans[i]->setCollect(collectSpans);
+        pointStats[i].setCollect(ambientStats.enabled());
+        pointTelemetry[i].setCollect(ambientTelemetry.enabled());
+        pointSpans[i].setCollect(ambientSpans.enabled());
     }
 
     parallelFor(n, jobs_, [&](std::size_t i) {
-        StatsExport::Bind statsBind(*pointStats[i]);
-        TelemetrySink::Bind telemetryBind(*pointTelemetry[i]);
-        SpanSink::Bind spanBind(*pointSpans[i]);
+        StatsExport::Bind statsBind(pointStats[i]);
+        TelemetrySink::Bind telemetryBind(pointTelemetry[i]);
+        SpanSink::Bind spanBind(pointSpans[i]);
         if (captureTrace) {
             // Event traces cannot be merged after the fact (track ids
             // collide), so each point writes its own file:
@@ -135,15 +126,11 @@ SweepExecutor::run(std::size_t n,
         }
     });
 
-    if (collectStats)
-        for (std::size_t i = 0; i < n; ++i)
-            ambientStats.absorb(std::move(*pointStats[i]));
-    if (collectTelemetry)
-        for (std::size_t i = 0; i < n; ++i)
-            ambientTelemetry.absorb(std::move(*pointTelemetry[i]));
-    if (collectSpans)
-        for (std::size_t i = 0; i < n; ++i)
-            ambientSpans.absorb(std::move(*pointSpans[i]));
+    for (std::size_t i = 0; i < n; ++i) {
+        ambientStats.absorb(std::move(pointStats[i]));
+        ambientTelemetry.absorb(std::move(pointTelemetry[i]));
+        ambientSpans.absorb(std::move(pointSpans[i]));
+    }
 }
 
 } // namespace netsparse

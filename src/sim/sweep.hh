@@ -7,12 +7,13 @@
  * small thread pool while preserving the observable behavior of a
  * sequential sweep:
  *
- *  - each worker thread binds a private StatsExport and (when a trace
- *    capture is active) a private TraceWriter around every point, so
- *    concurrent simulations never share a sink;
- *  - per-point stats runs are absorb()ed into the ambient collector in
- *    point-index order, making the emitted stats JSON byte-identical to
- *    a sequential run;
+ *  - each worker thread binds a private stats, telemetry and spans
+ *    document and (when a trace capture is active) a private
+ *    TraceWriter around every point, so concurrent simulations never
+ *    share a sink;
+ *  - per-point runs are absorb()ed into the ambient documents in
+ *    point-index order, making the emitted JSON byte-identical to a
+ *    sequential run;
  *  - per-point traces land next to the ambient trace path as
  *    "<path>.point<i>";
  *  - the first exception (by point index) is rethrown on the calling

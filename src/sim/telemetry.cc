@@ -1,27 +1,9 @@
 #include "sim/telemetry.hh"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/stats_export.hh"
 
 namespace netsparse {
-
-namespace {
-
-void
-atexitWrite()
-{
-    TelemetrySink::global().writeFile();
-}
-
-/** The calling thread's bound sink; null means "use the global". */
-thread_local TelemetrySink *tlsSink = nullptr;
-
-} // namespace
 
 TelemetryProbe::TelemetryProbe(Tick interval)
     : interval_(interval), next_(interval)
@@ -93,143 +75,38 @@ TelemetryProbe::flushUntil(Tick finalTick)
     }
 }
 
-TelemetrySink &
-TelemetrySink::instance()
-{
-    return tlsSink ? *tlsSink : global();
-}
-
-TelemetrySink &
-TelemetrySink::global()
-{
-    static TelemetrySink sink;
-    return sink;
-}
-
-TelemetrySink::Bind::Bind(TelemetrySink &s) : prev_(tlsSink)
-{
-    tlsSink = &s;
-}
-
-TelemetrySink::Bind::~Bind()
-{
-    tlsSink = prev_;
-}
-
-bool
-TelemetrySink::setOutputPath(const std::string &path)
-{
-    // Probe-open now so a missing directory fails loudly up front
-    // instead of producing a silent empty run at process exit.
-    if (!path.empty()) {
-        std::ofstream probe(path, std::ios::app);
-        if (!probe) {
-            ns_warn("cannot open telemetry output ", path);
-            return false;
-        }
-    }
-    path_ = path;
-    written_ = false;
-
-    static bool atexit_registered = false;
-    if (!atexit_registered) {
-        std::atexit(atexitWrite);
-        atexit_registered = true;
-    }
-    return true;
-}
-
-TelemetrySink::Run &
-TelemetrySink::beginRun(const std::string &label)
-{
-    auto run = std::make_unique<Run>();
-    run->label = label;
-    runs_.push_back(std::move(run));
-    written_ = false;
-    return *runs_.back();
-}
-
 void
-TelemetrySink::absorb(TelemetrySink &&other)
+RunFormat<TelemetryRun>::write(std::ostream &os, const TelemetryRun &run)
 {
-    if (other.runs_.empty())
-        return;
-    runs_.reserve(runs_.size() + other.runs_.size());
-    for (auto &run : other.runs_)
-        runs_.push_back(std::move(run));
-    other.runs_.clear();
-    written_ = false;
-}
-
-std::string
-TelemetrySink::toJson() const
-{
-    std::ostringstream os;
-    os << "{\n\"schema\": \"netsparse-telemetry-v1\",\n\"runs\": [";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-        if (i)
+    os << ",\"intervalTicks\":" << run.intervalTicks
+       << ",\"finalTick\":" << run.finalTick << ",\n\"sampleTicks\":[";
+    for (std::size_t k = 0; k < run.sampleTicks.size(); ++k) {
+        if (k)
             os << ',';
-        const Run &run = *runs_[i];
-        os << "\n{\"run\":" << i << ",\"label\":\""
-           << (run.label.empty() ? "gather" + std::to_string(i)
-                                 : jsonEscape(run.label))
-           << "\",\"intervalTicks\":" << run.intervalTicks
-           << ",\"finalTick\":" << run.finalTick
-           << ",\n\"sampleTicks\":[";
-        for (std::size_t k = 0; k < run.sampleTicks.size(); ++k) {
-            if (k)
+        os << run.sampleTicks[k];
+    }
+    os << "],\n\"entities\":[";
+    for (std::size_t e = 0; e < run.entities.size(); ++e) {
+        const TelemetryEntity &ent = run.entities[e];
+        if (e)
+            os << ',';
+        os << "\n{\"id\":\"" << jsonEscape(ent.id) << "\",\"kind\":\""
+           << jsonEscape(ent.kind) << "\",\"series\":{";
+        for (std::size_t s = 0; s < ent.seriesNames.size(); ++s) {
+            if (s)
                 os << ',';
-            os << run.sampleTicks[k];
-        }
-        os << "],\n\"entities\":[";
-        for (std::size_t e = 0; e < run.entities.size(); ++e) {
-            const TelemetryEntity &ent = run.entities[e];
-            if (e)
-                os << ',';
-            os << "\n{\"id\":\"" << jsonEscape(ent.id)
-               << "\",\"kind\":\"" << jsonEscape(ent.kind)
-               << "\",\"series\":{";
-            for (std::size_t s = 0; s < ent.seriesNames.size(); ++s) {
-                if (s)
+            os << '"' << jsonEscape(ent.seriesNames[s]) << "\":[";
+            const std::vector<double> &vals = ent.series[s];
+            for (std::size_t k = 0; k < vals.size(); ++k) {
+                if (k)
                     os << ',';
-                os << '"' << jsonEscape(ent.seriesNames[s]) << "\":[";
-                const std::vector<double> &vals = ent.series[s];
-                for (std::size_t k = 0; k < vals.size(); ++k) {
-                    if (k)
-                        os << ',';
-                    writeJsonNumber(os, vals[k]);
-                }
-                os << ']';
+                writeJsonNumber(os, vals[k]);
             }
-            os << "}}";
+            os << ']';
         }
-        os << "\n]}";
+        os << "}}";
     }
-    os << "\n]\n}\n";
-    return os.str();
-}
-
-void
-TelemetrySink::writeFile()
-{
-    if (path_.empty() || written_)
-        return;
-    std::ofstream os(path_);
-    if (!os) {
-        ns_warn("cannot write telemetry output ", path_);
-        return;
-    }
-    os << toJson();
-    written_ = true;
-}
-
-void
-TelemetrySink::reset()
-{
-    runs_.clear();
-    path_.clear();
-    collect_ = false;
-    written_ = false;
+    os << "\n]}";
 }
 
 } // namespace netsparse

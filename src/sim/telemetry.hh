@@ -29,19 +29,19 @@
  * byte-identical at any shard count (per-shard event counts are the
  * one inherently shard-dependent quantity, so the document carries
  * their cluster-wide sum as the single "sim" entity). The schema is
- * documented in docs/observability.md; sink threading mirrors
- * StatsExport (thread-bound instance() with a process-global
- * fallback, RAII Bind for sweep workers).
+ * documented in docs/observability.md; the collector itself is the
+ * shared RunDocument (sim/run_document.hh).
  */
 
 #ifndef NETSPARSE_SIM_TELEMETRY_HH
 #define NETSPARSE_SIM_TELEMETRY_HH
 
 #include <functional>
-#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "sim/run_document.hh"
 #include "sim/types.hh"
 
 namespace netsparse {
@@ -123,83 +123,25 @@ class TelemetryProbe
     std::vector<double> scratch_;
 };
 
-/** The collector behind --telemetry-out (see the file comment). */
-class TelemetrySink
+/** One run's merged timeline (a netsparse-telemetry-v1 run section). */
+struct TelemetryRun
 {
-  public:
-    /** The sink bound to the calling thread (default: global()). */
-    static TelemetrySink &instance();
-
-    /** The process-wide sink behind --telemetry-out / atexit. */
-    static TelemetrySink &global();
-
-    /** RAII thread binding, mirroring StatsExport::Bind. */
-    class Bind
-    {
-      public:
-        explicit Bind(TelemetrySink &s);
-        ~Bind();
-        Bind(const Bind &) = delete;
-        Bind &operator=(const Bind &) = delete;
-
-      private:
-        TelemetrySink *prev_;
-    };
-
-    TelemetrySink() = default;
-    TelemetrySink(const TelemetrySink &) = delete;
-    TelemetrySink &operator=(const TelemetrySink &) = delete;
-
-    /**
-     * Enable collection and write the document to @p path at
-     * writeFile() / process exit. The path is probe-opened
-     * immediately: returns false (collection stays off) when it
-     * cannot be created, e.g. its directory does not exist.
-     */
-    bool setOutputPath(const std::string &path);
-
-    /** Enable (or disable) collection without an output path. */
-    void setCollect(bool on) { collect_ = on; }
-
-    /** True when runGather() should sample telemetry. */
-    bool enabled() const { return collect_ || !path_.empty(); }
-
-    /** One run's merged timeline. */
-    struct Run
-    {
-        std::string label;
-        Tick intervalTicks = 0;
-        Tick finalTick = 0;
-        std::vector<Tick> sampleTicks;
-        std::vector<TelemetryEntity> entities;
-    };
-
-    /**
-     * Open a new run section; empty labels serialize as "gather<N>"
-     * by final document position (absorb-stable, like StatsExport).
-     */
-    Run &beginRun(const std::string &label = {});
-
-    /** Move every run of @p other to the end of this document. */
-    void absorb(TelemetrySink &&other);
-
-    /** The whole document as a JSON string. */
-    std::string toJson() const;
-
-    /** Write the document to the configured path. */
-    void writeFile();
-
-    /** Drop collected runs and disable (tests / repeated tools). */
-    void reset();
-
-    std::size_t numRuns() const { return runs_.size(); }
-
-  private:
-    std::string path_;
-    bool collect_ = false;
-    std::vector<std::unique_ptr<Run>> runs_;
-    bool written_ = false;
+    Tick intervalTicks = 0;
+    Tick finalTick = 0;
+    std::vector<Tick> sampleTicks;
+    std::vector<TelemetryEntity> entities;
 };
+
+template <>
+struct RunFormat<TelemetryRun>
+{
+    static constexpr const char *schema = "netsparse-telemetry-v1";
+    static constexpr const char *noun = "telemetry";
+    static void write(std::ostream &os, const TelemetryRun &run);
+};
+
+/** The collector behind --telemetry-out (see the file comment). */
+using TelemetrySink = RunDocument<TelemetryRun>;
 
 } // namespace netsparse
 

@@ -20,9 +20,6 @@ atexitFlush()
     TraceWriter::global().close();
 }
 
-/** The calling thread's bound writer; null means "use the global". */
-thread_local TraceWriter *tlsWriter = nullptr;
-
 /** Ticks (ps) to the trace_events "ts" unit (us), keeping ps precision. */
 double
 toTraceUs(Tick t)
@@ -44,29 +41,6 @@ traceArgs(std::initializer_list<std::pair<const char *, double>> kvs)
         os << '"' << k << "\":" << v;
     }
     return os.str();
-}
-
-TraceWriter &
-TraceWriter::instance()
-{
-    return tlsWriter ? *tlsWriter : global();
-}
-
-TraceWriter &
-TraceWriter::global()
-{
-    static TraceWriter writer;
-    return writer;
-}
-
-TraceWriter::Bind::Bind(TraceWriter &w) : prev_(tlsWriter)
-{
-    tlsWriter = &w;
-}
-
-TraceWriter::Bind::~Bind()
-{
-    tlsWriter = prev_;
 }
 
 bool

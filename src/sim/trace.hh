@@ -9,12 +9,12 @@
  * close(), so the output always loads in ui.perfetto.dev or
  * chrome://tracing regardless of the order spans retire in.
  *
- * instance() resolves to the calling thread's *bound* writer - by
- * default the process-wide one behind --trace-out, but a parallel sweep
- * (sim/sweep.hh) binds a private per-run writer on each worker thread
- * with TraceWriter::Bind so concurrent simulations capture into
- * separate files. Single-threaded tools keep the singleton facade
- * unchanged.
+ * instance() resolves to the calling thread's *bound* writer
+ * (sim/thread_bound.hh) - by default the process-wide one behind
+ * --trace-out, but a parallel sweep (sim/sweep.hh) or the sharded
+ * engine binds a private writer on each worker thread with
+ * TraceWriter::Bind so concurrent simulations capture into separate
+ * files.
  *
  * Overhead discipline: tracing costs one inlined boolean test per
  * instrumentation site when disabled at runtime, and compiles away
@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/thread_bound.hh"
 #include "sim/types.hh"
 
 #ifndef NETSPARSE_TRACING_ENABLED
@@ -53,31 +54,9 @@ std::string
 traceArgs(std::initializer_list<std::pair<const char *, double>> kvs);
 
 /** An event-trace sink (see the thread-binding notes above). */
-class TraceWriter
+class TraceWriter : public ThreadBound<TraceWriter>
 {
   public:
-    /** The writer bound to the calling thread (default: global()). */
-    static TraceWriter &instance();
-
-    /** The process-wide writer behind --trace-out / atexit flushing. */
-    static TraceWriter &global();
-
-    /**
-     * RAII thread binding: while alive, instance() on this thread
-     * resolves to the given writer (bindings nest).
-     */
-    class Bind
-    {
-      public:
-        explicit Bind(TraceWriter &w);
-        ~Bind();
-        Bind(const Bind &) = delete;
-        Bind &operator=(const Bind &) = delete;
-
-      private:
-        TraceWriter *prev_;
-    };
-
     /** Per-run writers are plain objects; see Bind. */
     TraceWriter() = default;
     TraceWriter(const TraceWriter &) = delete;

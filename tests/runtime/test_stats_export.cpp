@@ -131,37 +131,6 @@ TEST(StatsExport, JsonRoundTripsEveryRegisteredStat)
                      1.0); // overflow
 }
 
-TEST(StatsExport, CollectorDocumentHoldsLabelledRuns)
-{
-    StatsExport &exp = StatsExport::instance();
-    exp.reset();
-    exp.setOutputPath("/dev/null");
-    ASSERT_TRUE(exp.enabled());
-
-    StatRegistry &first = exp.beginRun();
-    first.set("cluster.commTicks", 123.0);
-    StatRegistry &second = exp.beginRun("warmup");
-    second.set("cluster.commTicks", 456.0);
-    EXPECT_EQ(exp.numRuns(), 2u);
-
-    jsonlite::Value doc = jsonlite::parse(exp.toJson());
-    EXPECT_EQ(doc.at("schema").string, "netsparse-stats-v1");
-    const jsonlite::Value &runs = doc.at("runs");
-    ASSERT_EQ(runs.array.size(), 2u);
-    EXPECT_DOUBLE_EQ(runs.at(0).at("run").number, 0.0);
-    EXPECT_EQ(runs.at(0).at("label").string, "gather0");
-    EXPECT_DOUBLE_EQ(
-        runs.at(0).at("stats").at("cluster.commTicks").at("value").number,
-        123.0);
-    EXPECT_EQ(runs.at(1).at("label").string, "warmup");
-    EXPECT_DOUBLE_EQ(
-        runs.at(1).at("stats").at("cluster.commTicks").at("value").number,
-        456.0);
-
-    exp.reset(); // leave the process-wide collector clean for other tests
-    EXPECT_FALSE(exp.enabled());
-}
-
 TEST(StatsExport, RunGatherDepositsDetailedSnapshotWhenEnabled)
 {
     StatsExport &exp = StatsExport::instance();

@@ -2,15 +2,12 @@
  * @file
  * Tests for the interval-telemetry probe and sink: the lazy boundary
  * sampling semantics ("a sample at B observes exactly the events with
- * tick < B"), the netsparse-telemetry-v1 document shape, and the
- * probe-open error path behind --telemetry-out.
+ * tick < B") and the netsparse-telemetry-v1 document shape. The
+ * collector lifecycle is covered in test_run_document.cpp.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,34 +16,6 @@
 #include "sim/telemetry.hh"
 
 using namespace netsparse;
-
-namespace {
-
-/** A temp path that cleans up after the test. */
-class TempFile
-{
-  public:
-    explicit TempFile(const char *tag)
-        : path_(std::string(::testing::TempDir()) + "netsparse_" + tag +
-                ".json")
-    {}
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-} // namespace
 
 TEST(TelemetryProbe, SamplesObserveExactlyEventsBeforeBoundary)
 {
@@ -108,7 +77,7 @@ TEST(TelemetrySink, DocumentMatchesSchema)
     sink.setCollect(true);
     ASSERT_TRUE(sink.enabled());
 
-    TelemetrySink::Run &run = sink.beginRun();
+    TelemetryRun &run = sink.beginRun();
     run.intervalTicks = 100;
     run.finalTick = 250;
     run.sampleTicks = {100, 200};
@@ -130,39 +99,4 @@ TEST(TelemetrySink, DocumentMatchesSchema)
     EXPECT_EQ(e0.at("id").string, "lk0");
     EXPECT_EQ(e0.at("kind").string, "link");
     EXPECT_EQ(e0.at("series").at("utilization").at(1).number, 1.0);
-}
-
-TEST(TelemetrySink, AbsorbAppendsRunsInOrder)
-{
-    TelemetrySink merged, worker;
-    merged.setCollect(true);
-    worker.setCollect(true);
-    merged.beginRun().finalTick = 1;
-    worker.beginRun().finalTick = 2;
-    merged.absorb(std::move(worker));
-    EXPECT_EQ(merged.numRuns(), 2u);
-
-    jsonlite::Value doc = jsonlite::parse(merged.toJson());
-    // Labels come from the final document position, so a parallel
-    // sweep's merged document matches a sequential one.
-    EXPECT_EQ(doc.at("runs").at(0).at("label").string, "gather0");
-    EXPECT_EQ(doc.at("runs").at(1).at("label").string, "gather1");
-    EXPECT_EQ(doc.at("runs").at(1).at("finalTick").number, 2.0);
-}
-
-TEST(TelemetrySink, SetOutputPathProbesTheFile)
-{
-    TelemetrySink bad;
-    EXPECT_FALSE(
-        bad.setOutputPath("/nonexistent-dir/netsparse/telemetry.json"));
-    EXPECT_FALSE(bad.enabled());
-
-    TempFile out("telemetry");
-    TelemetrySink good;
-    ASSERT_TRUE(good.setOutputPath(out.path()));
-    EXPECT_TRUE(good.enabled());
-    good.beginRun().finalTick = 7;
-    good.writeFile();
-    jsonlite::Value doc = jsonlite::parse(slurp(out.path()));
-    EXPECT_EQ(doc.at("schema").string, "netsparse-telemetry-v1");
 }
