@@ -22,20 +22,6 @@ using namespace netsparse::bench;
 
 namespace {
 
-GatherWorkload
-sliceWork(const Csr &m, std::uint32_t nodes)
-{
-    GatherWorkload w;
-    w.numIdxs = m.cols;
-    w.part = Partition1D::equalRows(m.rows, nodes);
-    w.streams.reserve(nodes);
-    for (NodeId nid = 0; nid < nodes; ++nid)
-        w.streams.emplace_back(
-            m.colIdx.begin() + m.rowPtr[w.part.begin(nid)],
-            m.colIdx.begin() + m.rowPtr[w.part.end(nid)]);
-    return w;
-}
-
 struct Scenario
 {
     const char *name;
@@ -79,8 +65,9 @@ main(int argc, char **argv)
             BackgroundTrafficConfig::parse(sc.background, bg);
         std::vector<JobSpec> specs(sc.jobs);
         for (std::uint32_t j = 0; j < sc.jobs; ++j) {
-            specs[j].work =
-                sliceWork(suite[j % suite.size()].matrix, nodes);
+            const Csr &m = suite[j % suite.size()].matrix;
+            specs[j].work = GatherWorkload::slice(
+                m, Partition1D::equalRows(m.rows, nodes));
             specs[j].k = ks[j % 3];
             specs[j].name = "job" + std::to_string(j);
         }

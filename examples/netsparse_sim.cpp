@@ -467,22 +467,14 @@ main(int argc, char **argv)
             return 2;
         }
         auto make_work = [&]() {
+            if (!stream)
+                return GatherWorkload::slice(m, part);
+            PartitionedMatrix pm =
+                buildPartitionedBenchmark(named_kind, scale, nodes);
             GatherWorkload w;
-            if (stream) {
-                PartitionedMatrix pm =
-                    buildPartitionedBenchmark(named_kind, scale, nodes);
-                w.numIdxs = pm.cols;
-                w.part = pm.part;
-                w.streams = pm.takeStreams();
-                return w;
-            }
-            w.numIdxs = m.cols;
-            w.part = part;
-            w.streams.reserve(nodes);
-            for (NodeId nid = 0; nid < nodes; ++nid)
-                w.streams.emplace_back(
-                    m.colIdx.begin() + m.rowPtr[part.begin(nid)],
-                    m.colIdx.begin() + m.rowPtr[part.end(nid)]);
+            w.numIdxs = pm.cols;
+            w.part = pm.part;
+            w.streams = pm.takeStreams();
             return w;
         };
         std::vector<JobSpec> specs(num_jobs);

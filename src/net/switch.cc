@@ -254,7 +254,6 @@ Switch::forward(Packet &&pkt)
     }
     fq.lanes[laneOf(pkt)].push_back(std::move(pkt));
     ++fq.queued;
-    ++fqQueued_;
     ++fqEnqueued_;
     scheduleDrain(p);
 }
@@ -306,7 +305,6 @@ Switch::drainPort(std::uint32_t p)
         Packet pkt = std::move(lane.front());
         lane.pop_front();
         --fq.queued;
-        --fqQueued_;
         out_[p]->send(std::move(pkt));
         break;
     }

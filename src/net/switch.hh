@@ -133,16 +133,16 @@ class Switch : public PacketSink
     std::uint64_t cacheEvictions() const;
     std::uint64_t prsServedByCache() const { return servedByCache_; }
     std::uint64_t packetsForwarded() const { return forwarded_; }
-    /** Per-tenant slice of prsServedByCache (numTenants > 1 only). */
+    /**
+     * Tenant @p tenant's share of prsServedByCache; a switch with one
+     * tenant keeps no split, so that tenant's share is all of it.
+     */
     std::uint64_t
     prsServedByCache(std::uint32_t tenant) const
     {
-        return tenant < servedByCacheTenant_.size()
-                   ? servedByCacheTenant_[tenant]
-                   : 0;
+        return servedByCacheTenant_.empty() ? servedByCache_
+                                            : servedByCacheTenant_[tenant];
     }
-    /** Packets still waiting in fair-queueing lanes (diagnostics). */
-    std::uint64_t fqQueuedPackets() const { return fqQueued_; }
     /** Packets that went through a fair-queueing lane (vs direct). */
     std::uint64_t fqEnqueued() const { return fqEnqueued_; }
     /** Corrupt responses kept out of the cache (verifyResponses). */
@@ -162,7 +162,7 @@ class Switch : public PacketSink
     const std::vector<Link *> &outLinks() const { return out_; }
 
     /** Set this switch's id in the run's span component name table
-     *  (sim/span.hh); assigned by the scheduler when spans are on. */
+     *  (sim/span.hh); assigned by the scheduler. */
     void setSpanComp(std::uint32_t comp) { spanComp_ = comp; }
 
     /** The middle-pipe Property Cache of pipe @p i (for tests). */
@@ -244,7 +244,6 @@ class Switch : public PacketSink
         std::uint64_t queued = 0;
     };
     std::vector<OutPortFq> fq_;
-    std::uint64_t fqQueued_ = 0;
     std::uint64_t fqEnqueued_ = 0;
 };
 

@@ -18,35 +18,36 @@ defaultClusterConfig(std::uint32_t nodes)
     return cfg;
 }
 
+GatherWorkload
+GatherWorkload::slice(const Csr &m, const Partition1D &part)
+{
+    ns_assert(part.total() <= m.rows, "partition covers ", part.total(),
+              " rows of a ", m.rows, "-row matrix");
+    GatherWorkload w;
+    w.numIdxs = m.cols;
+    w.part = part;
+    w.streams.reserve(part.numParts());
+    for (NodeId nid = 0; nid < part.numParts(); ++nid)
+        w.streams.emplace_back(
+            m.colIdx.begin() + m.rowPtr[part.begin(nid)],
+            m.colIdx.begin() + m.rowPtr[part.end(nid)]);
+    return w;
+}
+
 GatherRunResult
 ClusterSim::runGather(const Csr &m, const Partition1D &part,
                       std::uint32_t k)
 {
     ns_assert(m.rows == m.cols, "distributed kernels use square matrices");
-    ns_assert(part.numParts() == cfg_.numNodes,
-              "partition has ", part.numParts(), " parts for ",
-              cfg_.numNodes, " nodes");
-    // Slice the per-node row-scan streams out of the global matrix;
-    // the workload overload is the real entry point (paper-scale runs
-    // reach it without ever holding a global matrix).
-    GatherWorkload work;
-    work.numIdxs = m.cols;
-    work.part = part;
-    work.streams.reserve(cfg_.numNodes);
-    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid)
-        work.streams.emplace_back(
-            m.colIdx.begin() + m.rowPtr[part.begin(nid)],
-            m.colIdx.begin() + m.rowPtr[part.end(nid)]);
-    return runGather(std::move(work), k);
+    return runGather(GatherWorkload::slice(m, part), k);
 }
 
 GatherRunResult
 ClusterSim::runGather(GatherWorkload &&work, std::uint32_t k)
 {
     // The single-job cluster is the degenerate schedule: one tenant,
-    // no background traffic. The scheduler takes the exact legacy
-    // construction path for it (runtime/job_scheduler.hh), so the
-    // result and every observability document are unchanged.
+    // no background traffic, for which the scheduler keeps the
+    // single-job names and stats document (runtime/job_scheduler.hh).
     JobScheduler sched(cfg_);
     std::vector<JobSpec> jobs(1);
     jobs[0].work = std::move(work);

@@ -135,31 +135,17 @@ struct ClusterConfig
     Tick maxSimTime = 60 * ticks::s;
 };
 
-/** Per-node outcome of a gather run. */
-struct NodeRunStats
+/** Per-node outcome of a gather run: RIG client, rx and host sides. */
+struct NodeRunStats : RigClientStats
 {
     Tick finishTick = 0;
-    std::uint64_t idxsProcessed = 0;
-    std::uint64_t localIdxs = 0;
-    std::uint64_t prsIssued = 0;
-    std::uint64_t filtered = 0;
-    std::uint64_t coalesced = 0;
     std::uint64_t rxPackets = 0;
     std::uint64_t rxBytes = 0;
     std::uint64_t rxPayloadBytes = 0;
     std::uint64_t rxResponses = 0;
     std::uint64_t rxReads = 0;
-    std::uint64_t watchdogFailures = 0;
-    std::uint64_t pendingStalls = 0;
-    std::uint64_t txStalls = 0;
     std::uint64_t commandsIssued = 0;
-
-    // Recovery counters; nonzero only when the reliable-PR layer runs.
-    std::uint64_t retransmits = 0;
-    std::uint64_t nacks = 0;
-    std::uint64_t corruptDropped = 0;
-    std::uint64_t duplicatesSuppressed = 0;
-    std::uint64_t retriesExhausted = 0;
+    // Host recovery counters; nonzero only with the reliable-PR layer.
     std::uint64_t commandRetries = 0;
     std::uint64_t permanentFailures = 0;
 
@@ -290,6 +276,9 @@ struct GatherWorkload
     Partition1D part;
     /** streams[n] = node n's row-scan index stream (moved into hosts). */
     std::vector<std::vector<std::uint32_t>> streams;
+
+    /** Slice @p m's rows into one stream per part of @p part. */
+    static GatherWorkload slice(const Csr &m, const Partition1D &part);
 };
 
 /** Builds and runs one cluster. */

@@ -19,12 +19,11 @@ namespace netsparse {
 namespace {
 
 /**
- * Per-node tenant demultiplexer: the sink of a host's downlink when
- * more than one virtual SNIC slice (or background traffic) shares the
- * node. Protocol packets dispatch to their tenant's slice in place (no
- * extra event, so packet timing matches the single-tenant sink); raw
- * background packets terminate here - they are pure load and carry
- * nothing deliverable.
+ * Per-node tenant demultiplexer: the sink of every host downlink.
+ * Protocol packets dispatch to their tenant's slice in place (no extra
+ * event, so packet timing matches a direct SNIC sink); raw background
+ * packets terminate here - they are pure load and carry nothing
+ * deliverable.
  */
 class TenantDemux : public PacketSink
 {
@@ -95,690 +94,617 @@ exportTenantStats(StatRegistry &reg, const std::string &prefix,
     reg.setHistogram(prefix + ".finishTimeNs", r.finishTimeHistogram());
 }
 
-} // namespace
-
-JobScheduler::JobScheduler(ClusterConfig cfg) : cfg_(std::move(cfg))
+Topology
+buildTopology(const ClusterConfig &cfg)
 {
-    if (cfg_.eventBatching) {
-        if (cfg_.link.batchMaxPackets <= 1)
-            cfg_.link.batchMaxPackets = 16;
-        cfg_.snic.batchedServerReads = true;
+    switch (cfg.topology) {
+      case TopologyKind::LeafSpine:
+        return Topology::leafSpine(
+            (cfg.numNodes + cfg.nodesPerRack - 1) / cfg.nodesPerRack,
+            cfg.nodesPerRack, cfg.numSpines);
+      case TopologyKind::HyperX:
+        // 4x4x2 switches, 4 hosts each, width-4 trunks (Section 9.6)
+        ns_assert(cfg.numNodes == 128,
+                  "the HyperX configuration is 128 nodes");
+        return Topology::hyperX(4, 4, 2, 4, 4);
+      case TopologyKind::Dragonfly:
+        ns_assert(cfg.numNodes == 128,
+                  "the Dragonfly configuration is 128 nodes");
+        return Topology::dragonfly(4, 8, 4, 4);
     }
-    ns_assert(cfg_.numNodes >= 1, "cluster needs nodes");
-    ns_assert(!cfg_.features.switchCache || cfg_.features.concatSwitch,
-              "the Property Cache lives in the middle pipes; enable "
-              "switch concatenation with it");
+    ns_panic("unknown topology kind");
 }
 
-MultiJobResult
-JobScheduler::run(std::vector<JobSpec> &&jobs,
-                  const BackgroundTrafficConfig &bg)
+struct alignas(64) PaddedMailbox
 {
-    const auto T = static_cast<std::uint32_t>(jobs.size());
-    ns_assert(T >= 1, "the scheduler needs at least one job");
-    // A single job with no background traffic is the legacy cluster:
-    // identical construction order, component names and stats
-    // document, by design (see the header comment).
-    const bool multi = T > 1 || bg.enabled();
+    DeliveryMailbox box; // padded: neighbors belong to other threads
+};
 
-    std::vector<std::uint32_t> prop_bytes(T);
-    std::uint32_t max_prop_bytes = 0;
-    for (std::uint32_t t = 0; t < T; ++t) {
-        const JobSpec &job = jobs[t];
-        ns_assert(job.work.part.numParts() == cfg_.numNodes,
-                  "job ", t, ": partition has ",
-                  job.work.part.numParts(), " parts for ", cfg_.numNodes,
-                  " nodes");
-        ns_assert(job.work.streams.size() == cfg_.numNodes,
-                  "job ", t, ": workload has ", job.work.streams.size(),
-                  " streams for ", cfg_.numNodes, " nodes");
-        ns_assert(job.work.numIdxs >= job.work.part.total(),
-                  "job ", t, ": property space smaller than the "
-                  "partition");
-        // The tenant id salts checksums and cache keys above bit 40.
-        ns_assert(T == 1 || job.work.numIdxs <= (1ull << 40),
-                  "job ", t, ": property space too large for "
-                  "tenant-qualified keys");
-        ns_assert(job.k >= 1, "job ", t, ": k must be positive");
-        prop_bytes[t] = 4 * job.k;
-        max_prop_bytes = std::max(max_prop_bytes, prop_bytes[t]);
+/**
+ * Everything one run builds, and the questions the run asks of it.
+ * Slices and hosts are one per (node, tenant), nid-major. Construction
+ * is the same for one job and for many; `multi` only picks the
+ * tenant-qualified names and the cluster.tenant<t>.* stats document.
+ */
+struct Fabric
+{
+    Fabric(const ClusterConfig &config, std::uint32_t tenants,
+           bool multi_tenant)
+        : cfg(config), T(tenants), multi(multi_tenant),
+          topo(buildTopology(config))
+    {
+        ns_assert(topo.numNodes() == cfg.numNodes,
+                  "topology node mismatch");
+        // Rack-granular partition: a ToR plus its rack's hosts and
+        // SNICs share one queue; a zero-latency link would leave no
+        // lookahead, so such configurations fall back to a single
+        // shard.
+        std::uint32_t request =
+            resolveShardCount(cfg.simShards, topo.numTors());
+        shardMap = ShardMap::build(topo, cfg.link.latency == 0 ? 1
+                                                               : request);
+        for (std::uint32_t s = 0; s < numShards(); ++s)
+            queues.push_back(std::make_unique<EventQueue>());
+        mailboxes.resize(numShards());
+        for (auto &row : mailboxes)
+            row = std::vector<PaddedMailbox>(numShards());
     }
 
-    // --- Topology ---
-    Topology topo = [&] {
-        switch (cfg_.topology) {
-          case TopologyKind::LeafSpine: {
-            std::uint32_t racks =
-                (cfg_.numNodes + cfg_.nodesPerRack - 1) /
-                cfg_.nodesPerRack;
-            return Topology::leafSpine(racks, cfg_.nodesPerRack,
-                                       cfg_.numSpines);
-          }
-          case TopologyKind::HyperX:
-            // 4x4x2 switches, 4 hosts each, width-4 trunks (Section 9.6)
-            ns_assert(cfg_.numNodes == 128,
-                      "the HyperX configuration is 128 nodes");
-            return Topology::hyperX(4, 4, 2, 4, 4);
-          case TopologyKind::Dragonfly:
-            ns_assert(cfg_.numNodes == 128,
-                      "the Dragonfly configuration is 128 nodes");
-            return Topology::dragonfly(4, 8, 4, 4);
-        }
-        ns_panic("unknown topology kind");
-    }();
-    ns_assert(topo.numNodes() == cfg_.numNodes, "topology node mismatch");
-
-    // --- Shard map and per-shard event queues ---
-    // Rack-granular partition: a ToR plus its rack's hosts and SNICs
-    // share one queue; a zero-latency link would leave no lookahead,
-    // so such configurations fall back to a single shard.
-    std::uint32_t shard_request =
-        resolveShardCount(cfg_.simShards, topo.numTors());
-    if (cfg_.link.latency == 0)
-        shard_request = 1;
-    ShardMap shard_map = ShardMap::build(topo, shard_request);
-    const std::uint32_t num_shards = shard_map.numShards;
-
+    const ClusterConfig &cfg;
+    const std::uint32_t T;
+    const bool multi;
+    Topology topo;
+    ShardMap shardMap;
     std::vector<std::unique_ptr<EventQueue>> queues;
-    queues.reserve(num_shards);
-    for (std::uint32_t s = 0; s < num_shards; ++s)
-        queues.push_back(std::make_unique<EventQueue>());
+    std::vector<std::unique_ptr<Snic>> snics;
+    /** demuxes[nid]: the sink of node nid's downlink. */
+    std::vector<std::unique_ptr<TenantDemux>> demuxes;
+    std::vector<std::unique_ptr<Switch>> switches;
+    /** Stats/telemetry identity: "tor<i>"/"spine<j>", numbered in
+     *  construction order like the stats document. */
+    std::vector<std::string> switchNames;
+    /** mailboxes[src][dst]: cross-shard deliveries, drained by dst. */
+    std::vector<std::vector<PaddedMailbox>> mailboxes;
+    std::vector<std::unique_ptr<Link>> links;
+    /** links[i] is driven (and sampled) by its sender's shard. */
+    std::vector<std::uint32_t> linkShards;
+    std::vector<Link *> nicEgress;
+    std::vector<std::unique_ptr<HostNode>> hosts;
+    std::vector<std::unique_ptr<BackgroundSource>> bgSources;
+    /** Minimum cross-shard link latency: the engine's lookahead. */
+    Tick lookahead = maxTick;
 
-    // --- Span tracing (sim/span.hh) ---
-    // One recorder per shard, reached through the shard's own queue;
-    // the post-run merge restores one shard-count-invariant document.
-    // An enabled sink with all-zero params (the NETSPARSE_SPANS_OUT
-    // env path, where nothing touches ClusterConfig) falls back to the
-    // representative 1/64 sample, matching the CLI default.
-    const bool spans_on = SpanSink::instance().enabled();
-    SpanParams span_params = cfg_.spans;
-    if (spans_on && !span_params.enabled())
-        span_params.sampleEvery = 64;
-    std::vector<std::unique_ptr<SpanBuffer>> span_bufs;
-    if (spans_on) {
-        span_bufs.reserve(num_shards);
-        for (std::uint32_t s = 0; s < num_shards; ++s) {
-            span_bufs.push_back(
-                std::make_unique<SpanBuffer>(span_params));
-            queues[s]->setSpanBuffer(span_bufs.back().get());
-        }
+    std::uint32_t numShards() const { return shardMap.numShards; }
+    Snic &snic(NodeId n, std::uint32_t t) const { return *snics[n * T + t]; }
+    HostNode &host(NodeId n, std::uint32_t t) const
+    {
+        return *hosts[n * T + t];
     }
-    auto node_queue = [&](NodeId n) -> EventQueue & {
-        return *queues[shard_map.shardOfNode(n)];
-    };
-    auto switch_queue = [&](SwitchId s) -> EventQueue & {
-        return *queues[shard_map.shardOfSwitch(s)];
-    };
+    EventQueue &nodeQueue(NodeId n) const
+    {
+        return *queues[shardMap.shardOfNode(n)];
+    }
+    EventQueue &switchQueue(SwitchId s) const
+    {
+        return *queues[shardMap.shardOfSwitch(s)];
+    }
+
+    /** "node<i>", or "node<i>.job<t>" under tenant-qualified names. */
+    std::string
+    sliceName(NodeId nid, std::uint32_t t) const
+    {
+        std::string node = "node" + std::to_string(nid);
+        return multi ? node + ".job" + std::to_string(t) : node;
+    }
+
+    /**
+     * Append a link driven by shard @p src_shard's queue. Ordering ids
+     * are assigned in construction order - a per-run-deterministic
+     * numbering that forms the same-tick arrival tie-break at every
+     * sink, which is what keeps execution identical across shard
+     * counts. Cross-shard links (always switch-to-switch under the rack
+     * partition) deposit deliveries into per-(src, dst) shard
+     * mailboxes; their minimum latency is the engine's lookahead.
+     */
+    Link &
+    addLink(const LinkConfig &lc, PacketSink *sink, std::uint32_t sink_port,
+            std::string name, std::uint32_t src_shard,
+            std::uint32_t dst_shard)
+    {
+        links.push_back(std::make_unique<Link>(*queues[src_shard], lc,
+                                               cfg.proto, sink, sink_port,
+                                               std::move(name)));
+        Link &link = *links.back();
+        link.setOrderingId(static_cast<std::uint32_t>(links.size() - 1));
+        linkShards.push_back(src_shard);
+        // The injector keys its fault stream on the ordering id just
+        // assigned, so the injected pattern is shard-count-invariant.
+        if (cfg.faults.enabled())
+            link.configureFaults(cfg.faults);
+        if (src_shard != dst_shard) {
+            link.setCrossShardOutbox(&mailboxes[src_shard][dst_shard].box);
+            lookahead = std::min(lookahead, lc.latency);
+        }
+        return link;
+    }
+
+    /**
+     * Cluster-wide component ids, final once every link exists: links
+     * by ordering id (link.cc records spans under it directly), then
+     * switches, then slices nid-major. Spans and telemetry order keys
+     * share them; telemetry's per-tenant entities follow the slices as
+     * sliceComp(numNodes, t).
+     */
+    std::uint32_t
+    switchComp(SwitchId s) const
+    {
+        return static_cast<std::uint32_t>(links.size()) + s;
+    }
+    std::uint32_t sliceComp(NodeId n, std::uint32_t t) const
+    {
+        return switchComp(topo.numSwitches()) + n * T + t;
+    }
+};
+
+/**
+ * Build every component in the order that fixes link ordering ids and
+ * component ids: SNIC slices, switches, switch-port links, NIC egress
+ * links, hosts, background sources. Host streams are moved out of
+ * @p jobs.
+ */
+void
+buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
+                const BackgroundTrafficConfig &bg,
+                const SpanParams *spans, bool telemetry_on)
+{
+    const ClusterConfig &cfg = f.cfg;
 
     // --- SNICs: one virtual slice per (node, tenant) ---
-    SnicConfig snic_base = cfg_.snic;
-    snic_base.proto = cfg_.proto;
-    snic_base.rigUnit.filterEnabled = cfg_.features.filter;
-    snic_base.rigUnit.coalesceEnabled = cfg_.features.coalesce;
-    Clock snic_clock(snic_base.rigUnit.clockHz);
-    snic_base.concat.proto = cfg_.proto;
-    snic_base.concat.enabled = cfg_.features.concatNic;
-    snic_base.concat.delay =
-        snic_clock.cycles(cfg_.nicConcatDelayCycles);
-    snic_base.concat.virtualized = cfg_.virtualizedCqs;
-    // A lossy fabric needs the reliable-PR layer to terminate; the
-    // user may also enable it explicitly on a lossless one.
-    if (cfg_.faults.enabled())
-        snic_base.rigUnit.retry.enabled = true;
-    if (spans_on) {
-        snic_base.rigUnit.spanSampleThreshold =
-            span_params.sampleThreshold();
-        snic_base.rigUnit.spanRecordAll = span_params.recordAll();
-        snic_base.rigUnit.spanSeed = span_params.seed;
+    // Each tenant keeps its own RIG units, Idx Filter and retry state;
+    // the node's physical NIC egress link is shared below.
+    SnicConfig base = cfg.snic;
+    base.proto = cfg.proto;
+    base.rigUnit.filterEnabled = cfg.features.filter;
+    base.rigUnit.coalesceEnabled = cfg.features.coalesce;
+    Clock snic_clock(base.rigUnit.clockHz);
+    base.concat.proto = cfg.proto;
+    base.concat.enabled = cfg.features.concatNic;
+    base.concat.delay = snic_clock.cycles(cfg.nicConcatDelayCycles);
+    base.concat.virtualized = cfg.virtualizedCqs;
+    if (spans) {
+        base.rigUnit.spanSampleThreshold = spans->sampleThreshold();
+        base.rigUnit.spanRecordAll = spans->recordAll();
+        base.rigUnit.spanSeed = spans->seed;
     }
-    const bool recovery_enabled = snic_base.rigUnit.retry.enabled;
-
-    // Interval telemetry and the PR latency lifecycle share one gate:
-    // both cost nothing (no collectors, no stamping, a dead probe
-    // branch in the dispatch loop) unless the sink is enabled.
-    const bool telemetry_on =
-        TelemetrySink::instance().enabled() && cfg_.telemetryInterval > 0;
-
-    // Slices are nid-major (snics[nid * T + t]): each tenant keeps its
-    // own RIG units, Idx Filter and retry state; the node's physical
-    // NIC egress link is shared below.
-    std::vector<std::unique_ptr<Snic>> snics;
-    snics.reserve(std::size_t{cfg_.numNodes} * T);
-    auto snic_at = [&](NodeId nid, std::uint32_t t) -> Snic & {
-        return *snics[std::size_t{nid} * T + t];
-    };
-    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-        for (std::uint32_t t = 0; t < T; ++t) {
-            SnicConfig sc = snic_base;
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+        f.demuxes.push_back(std::make_unique<TenantDemux>());
+        for (std::uint32_t t = 0; t < f.T; ++t) {
+            SnicConfig sc = base;
             sc.tenant = static_cast<std::uint16_t>(t);
-            std::string name =
-                multi ? "node" + std::to_string(nid) + ".job" +
-                            std::to_string(t) + ".snic"
-                      : "node" + std::to_string(nid) + ".snic";
             const Partition1D *jpart = &jobs[t].work.part;
-            snics.push_back(std::make_unique<Snic>(
-                node_queue(nid), sc, nid,
+            f.snics.push_back(std::make_unique<Snic>(
+                f.nodeQueue(nid), sc, nid,
                 [jpart](PropIdx idx) {
                     return jpart->ownerOf(
                         static_cast<std::uint32_t>(idx));
                 },
-                jobs[t].work.numIdxs, std::move(name)));
-            snics.back()->setOwnerPartition(jobs[t].work.part);
+                jobs[t].work.numIdxs, f.sliceName(nid, t) + ".snic"));
+            f.snics.back()->setOwnerPartition(jobs[t].work.part);
             if (telemetry_on)
-                snics.back()->enablePrLatency();
-        }
-    }
-
-    // Multi-tenant downlinks terminate at a per-node demux.
-    std::vector<std::unique_ptr<TenantDemux>> demuxes;
-    if (multi) {
-        demuxes.reserve(cfg_.numNodes);
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            demuxes.push_back(std::make_unique<TenantDemux>());
-            for (std::uint32_t t = 0; t < T; ++t)
-                demuxes.back()->attach(&snic_at(nid, t));
+                f.snics.back()->enablePrLatency();
+            f.demuxes.back()->attach(f.snics.back().get());
         }
     }
 
     // --- Switches ---
-    Clock switch_clock(cfg_.switchClockHz);
-    std::vector<std::unique_ptr<Switch>> switches;
-    switches.reserve(topo.numSwitches());
-    for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
+    Clock switch_clock(cfg.switchClockHz);
+    std::uint32_t tors = 0, spines = 0;
+    for (SwitchId sid = 0; sid < f.topo.numSwitches(); ++sid) {
         SwitchConfig sw_cfg;
-        sw_cfg.proto = cfg_.proto;
-        sw_cfg.pipelineLatency = cfg_.switchPipelineLatency;
-        sw_cfg.pipeClockHz = cfg_.switchClockHz;
-        bool tor_extensions =
-            topo.isTor(sid) &&
-            (cfg_.features.concatSwitch || cfg_.features.switchCache);
-        sw_cfg.netsparseEnabled = tor_extensions;
-        sw_cfg.concat.proto = cfg_.proto;
-        sw_cfg.concat.enabled = cfg_.features.concatSwitch;
+        sw_cfg.proto = cfg.proto;
+        sw_cfg.pipelineLatency = cfg.switchPipelineLatency;
+        sw_cfg.pipeClockHz = cfg.switchClockHz;
+        sw_cfg.netsparseEnabled =
+            f.topo.isTor(sid) &&
+            (cfg.features.concatSwitch || cfg.features.switchCache);
+        sw_cfg.concat.proto = cfg.proto;
+        sw_cfg.concat.enabled = cfg.features.concatSwitch;
         sw_cfg.concat.delay =
-            switch_clock.cycles(cfg_.switchConcatDelayCycles);
-        sw_cfg.concat.virtualized = cfg_.virtualizedCqs;
+            switch_clock.cycles(cfg.switchConcatDelayCycles);
+        sw_cfg.concat.virtualized = cfg.virtualizedCqs;
         // Concurrent tenants must not share concatenated packets: the
         // destination demux dispatches whole packets by tenant.
-        sw_cfg.concat.tenantLanes = T;
-        sw_cfg.cache = cfg_.cacheGeometry;
+        sw_cfg.concat.tenantLanes = f.T;
+        sw_cfg.cache = cfg.cacheGeometry;
         sw_cfg.cache.totalBytes =
-            cfg_.features.switchCache ? cfg_.propertyCacheBytes : 0;
-        sw_cfg.cachePerPipe = cfg_.cachePerPipe;
-        sw_cfg.numTenants = T;
+            cfg.features.switchCache ? cfg.propertyCacheBytes : 0;
+        sw_cfg.cachePerPipe = cfg.cachePerPipe;
+        sw_cfg.numTenants = f.T;
         sw_cfg.tenantCachePartitioned =
-            cfg_.tenantCachePartitioned && T > 1;
-        sw_cfg.fairQueue = cfg_.fairQueue;
+            cfg.tenantCachePartitioned && f.T > 1;
+        sw_cfg.fairQueue = cfg.fairQueue;
         // Corrupt responses must not poison the rack caches.
-        sw_cfg.verifyResponses = cfg_.faults.enabled();
-        switches.push_back(std::make_unique<Switch>(
-            switch_queue(sid), sw_cfg, sid,
+        sw_cfg.verifyResponses = cfg.faults.enabled();
+        f.switches.push_back(std::make_unique<Switch>(
+            f.switchQueue(sid), sw_cfg, sid,
             "switch" + std::to_string(sid)));
-    }
-    // Stats/telemetry identity of each switch ("tor<i>"/"spine<j>",
-    // numbered in construction order like the stats document).
-    std::vector<std::string> switch_names(topo.numSwitches());
-    {
-        std::uint32_t tors = 0, spines = 0;
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid)
-            switch_names[sid] =
-                topo.isTor(sid) ? "tor" + std::to_string(tors++)
-                                : "spine" + std::to_string(spines++);
+        f.switchNames.push_back(f.topo.isTor(sid)
+                                    ? "tor" + std::to_string(tors++)
+                                    : "spine" + std::to_string(spines++));
     }
 
     // --- Links ---
     // One directed link per (switch port, direction) plus one egress
-    // link per host NIC. Ordering ids are assigned in construction
-    // order - a per-run-deterministic numbering that forms the
-    // same-tick arrival tie-break at every sink, which is what keeps
-    // execution identical across shard counts.
-    //
-    // Cross-shard links (always switch-to-switch under the rack
-    // partition) deposit deliveries into per-(src, dst) shard
-    // mailboxes; their minimum latency is the engine's lookahead.
-    struct alignas(64) PaddedMailbox
-    {
-        DeliveryMailbox box; // padded: neighbors belong to other threads
-    };
-    std::vector<std::vector<PaddedMailbox>> mailboxes(num_shards);
-    for (auto &row : mailboxes)
-        row = std::vector<PaddedMailbox>(num_shards);
-    Tick lookahead = maxTick;
-    std::uint32_t next_link_id = 0;
-    std::vector<std::unique_ptr<Link>> links;
-    // links[i] is sampled by the shard whose events drive it: its
-    // sender's (telemetry registration below).
-    std::vector<std::uint32_t> link_shards;
-
-    auto bind_link = [&](Link &link, std::uint32_t src_shard,
-                         std::uint32_t dst_shard, Tick latency) {
-        link.setOrderingId(next_link_id++);
-        link_shards.push_back(src_shard);
-        // The injector keys its fault stream on the ordering id just
-        // assigned, so the injected pattern is shard-count-invariant.
-        if (cfg_.faults.enabled())
-            link.configureFaults(cfg_.faults);
-        if (src_shard != dst_shard) {
-            link.setCrossShardOutbox(
-                &mailboxes[src_shard][dst_shard].box);
-            lookahead = std::min(lookahead, latency);
-        }
-    };
-
-    for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
-        const auto &ports = topo.ports(sid);
+    // link per host NIC.
+    for (SwitchId sid = 0; sid < f.topo.numSwitches(); ++sid) {
+        const auto &ports = f.topo.ports(sid);
+        const std::uint32_t src_shard = f.shardMap.shardOfSwitch(sid);
         for (std::uint32_t p = 0; p < ports.size(); ++p) {
             const PortPeer &peer = ports[p];
-            LinkConfig lc = cfg_.link;
+            LinkConfig lc = cfg.link;
             lc.bandwidth = Bandwidth::fromGBps(
-                cfg_.link.bandwidth.bytesPerSecond() / 1e9 *
+                cfg.link.bandwidth.bytesPerSecond() / 1e9 *
                 peer.bwMultiplier);
-            PacketSink *sink = nullptr;
-            std::uint32_t sink_port = 0;
-            std::uint32_t dst_shard = 0;
-            bool to_host = false;
-            if (peer.kind == PortPeer::Kind::Host) {
-                sink = multi ? static_cast<PacketSink *>(
-                                   demuxes[peer.id].get())
-                             : static_cast<PacketSink *>(
-                                   &snic_at(peer.id, 0));
-                to_host = true;
-                dst_shard = shard_map.shardOfNode(peer.id);
-                ns_assert(dst_shard == shard_map.shardOfSwitch(sid),
-                          "host severed from its ToR by the partition");
-            } else {
-                sink = switches[peer.id].get();
-                sink_port = peer.peerPort;
-                dst_shard = shard_map.shardOfSwitch(peer.id);
-            }
-            links.push_back(std::make_unique<Link>(
-                switch_queue(sid), lc, cfg_.proto, sink, sink_port,
-                "sw" + std::to_string(sid) + ".p" + std::to_string(p)));
-            bind_link(*links.back(), shard_map.shardOfSwitch(sid),
-                      dst_shard, lc.latency);
-            switches[sid]->attachPort(p, links.back().get(), to_host);
+            const bool to_host = peer.kind == PortPeer::Kind::Host;
+            PacketSink *sink = to_host
+                                   ? static_cast<PacketSink *>(
+                                         f.demuxes[peer.id].get())
+                                   : f.switches[peer.id].get();
+            std::uint32_t dst_shard =
+                to_host ? f.shardMap.shardOfNode(peer.id)
+                        : f.shardMap.shardOfSwitch(peer.id);
+            ns_assert(!to_host || dst_shard == src_shard,
+                      "host severed from its ToR by the partition");
+            Link &link = f.addLink(
+                lc, sink, to_host ? 0 : peer.peerPort,
+                "sw" + std::to_string(sid) + ".p" + std::to_string(p),
+                src_shard, dst_shard);
+            f.switches[sid]->attachPort(p, &link, to_host);
         }
     }
     // Host egress links (NIC -> ToR); always intra-shard. Every tenant
     // slice of a node transmits through the same physical link - its
     // busy-until chain is where the slices contend.
-    std::vector<Link *> nic_egress(cfg_.numNodes);
-    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-        SwitchId tor = topo.switchOf(nid);
-        links.push_back(std::make_unique<Link>(
-            node_queue(nid), cfg_.link, cfg_.proto, switches[tor].get(),
-            topo.hostPort(nid), "node" + std::to_string(nid) + ".tx"));
-        bind_link(*links.back(), shard_map.shardOfNode(nid),
-                  shard_map.shardOfSwitch(tor), cfg_.link.latency);
-        nic_egress[nid] = links.back().get();
-        for (std::uint32_t t = 0; t < T; ++t)
-            snic_at(nid, t).attachEgress(links.back().get());
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+        SwitchId tor = f.topo.switchOf(nid);
+        Link &link = f.addLink(
+            cfg.link, f.switches[tor].get(), f.topo.hostPort(nid),
+            "node" + std::to_string(nid) + ".tx",
+            f.shardMap.shardOfNode(nid), f.shardMap.shardOfSwitch(tor));
+        f.nicEgress.push_back(&link);
+        for (std::uint32_t t = 0; t < f.T; ++t)
+            f.snic(nid, t).attachEgress(&link);
     }
-    ns_assert(num_shards == 1 || (lookahead > 0 && lookahead != maxTick),
+    ns_assert(f.numShards() == 1 ||
+                  (f.lookahead > 0 && f.lookahead != maxTick),
               "multi-shard run without a positive cross-shard latency");
 
-    // Span component id space, in cluster construction order: links by
-    // ordering id (link.cc records LinkTx under orderingId directly),
-    // then switches, then SNIC slices nid-major / tenant-minor. The
-    // name table ships inside the spans document so every component id
-    // resolves to its stats/telemetry identity.
-    std::vector<std::string> span_comps;
-    if (spans_on) {
-        span_comps.reserve(links.size() + topo.numSwitches() +
-                           snics.size());
-        for (const auto &l : links)
-            span_comps.push_back(l->name());
-        const auto L = static_cast<std::uint32_t>(links.size());
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
-            switches[sid]->setSpanComp(L + sid);
-            span_comps.push_back(switch_names[sid]);
-        }
-        const auto S = static_cast<std::uint32_t>(topo.numSwitches());
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            for (std::uint32_t t = 0; t < T; ++t) {
-                Snic &sn = snic_at(nid, t);
-                sn.setSpanComp(L + S +
-                               static_cast<std::uint32_t>(
-                                   std::size_t{nid} * T + t));
-                span_comps.push_back(sn.name());
-            }
-        }
-    }
-
-    // --- Routing and per-kernel configuration ---
-    for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
-        Switch *sw = switches[sid].get();
-        sw->setRouteFn([&topo, sid](NodeId dest) {
+    // --- Component ids, routing and per-kernel configuration ---
+    // Shared or partitioned, the cache provisions for the widest
+    // property in flight (capacity accounting only; checksums are
+    // what is stored).
+    std::uint32_t max_prop_bytes = 0;
+    for (const JobSpec &job : jobs)
+        max_prop_bytes = std::max(max_prop_bytes, 4 * job.k);
+    for (SwitchId sid = 0; sid < f.topo.numSwitches(); ++sid) {
+        Switch &sw = *f.switches[sid];
+        sw.setSpanComp(f.switchComp(sid));
+        sw.setRouteFn([&topo = f.topo, sid](NodeId dest) {
             return topo.route(sid, dest);
         });
-        // Shared or partitioned, the cache provisions for the widest
-        // property in flight (capacity accounting only; checksums are
-        // what is stored).
-        sw->configureForKernel(max_prop_bytes);
+        sw.configureForKernel(max_prop_bytes);
     }
-    for (auto &snic : snics)
-        snic->configureForKernel();
 
     // --- Hosts: one per (node, tenant), admitted at its startDelay ---
-    std::vector<std::unique_ptr<HostNode>> hosts;
-    hosts.reserve(std::size_t{cfg_.numNodes} * T);
-    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-        for (std::uint32_t t = 0; t < T; ++t) {
-            hosts.push_back(std::make_unique<HostNode>(
-                node_queue(nid), cfg_.host, snic_at(nid, t),
-                std::move(jobs[t].work.streams[nid]), prop_bytes[t]));
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+        for (std::uint32_t t = 0; t < f.T; ++t) {
+            Snic &sn = f.snic(nid, t);
+            sn.setSpanComp(f.sliceComp(nid, t));
+            sn.configureForKernel();
+            f.hosts.push_back(std::make_unique<HostNode>(
+                f.nodeQueue(nid), cfg.host, sn,
+                std::move(jobs[t].work.streams[nid]), 4 * jobs[t].k));
             // Completion is read off HostNode::done() after the run; a
             // shared counter would be written concurrently from
             // several shards.
-            if (jobs[t].startDelay == 0) {
-                hosts.back()->start([] {});
-            } else {
-                HostNode *h = hosts.back().get();
-                node_queue(nid).schedule(jobs[t].startDelay,
-                                         [h] { h->start([] {}); });
-            }
+            HostNode *h = f.hosts.back().get();
+            if (jobs[t].startDelay == 0)
+                h->start([] {});
+            else
+                f.nodeQueue(nid).schedule(jobs[t].startDelay,
+                                          [h] { h->start([] {}); });
         }
     }
-    auto host_at = [&](NodeId nid, std::uint32_t t) -> HostNode & {
-        return *hosts[std::size_t{nid} * T + t];
-    };
 
     // --- Background traffic ---
-    std::vector<std::unique_ptr<BackgroundSource>> bg_sources;
     if (bg.enabled()) {
-        bg_sources.reserve(cfg_.numNodes);
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            bg_sources.push_back(std::make_unique<BackgroundSource>(
-                node_queue(nid), bg, nid, cfg_.numNodes,
-                *nic_egress[nid]));
-            bg_sources.back()->start();
+        for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+            f.bgSources.push_back(std::make_unique<BackgroundSource>(
+                f.nodeQueue(nid), bg, nid, cfg.numNodes,
+                *f.nicEgress[nid]));
+            f.bgSources.back()->start();
         }
     }
+}
 
-    // --- Interval telemetry ---
-    // One probe per shard; every entity is registered on the shard
-    // whose events drive its state, under a cluster-wide order key
-    // (links by ordering id, then switches, then RIGs, then tenants)
-    // so the merged document is independent of the shard count.
-    // Samplers read only their own entity, and boundary samples
-    // observe exactly the events with tick < boundary
-    // (sim/telemetry.hh), so every series is byte-identical at
-    // 1/2/4 shards.
-    const Tick tele_interval = cfg_.telemetryInterval;
+/**
+ * Interval telemetry: one probe per shard; every entity is registered
+ * on the shard whose events drive its state, under its component id
+ * as the cluster-wide order key, so the merged document is independent
+ * of the shard count. Samplers read only their own entity, and
+ * boundary samples observe exactly the events with tick < boundary
+ * (sim/telemetry.hh), so every series is byte-identical at 1/2/4
+ * shards.
+ */
+std::vector<std::unique_ptr<TelemetryProbe>>
+attachTelemetry(const Fabric &f)
+{
+    const Tick interval = f.cfg.telemetryInterval;
     std::vector<std::unique_ptr<TelemetryProbe>> probes;
-    if (telemetry_on) {
-        probes.reserve(num_shards);
-        for (std::uint32_t s = 0; s < num_shards; ++s) {
-            probes.push_back(
-                std::make_unique<TelemetryProbe>(tele_interval));
-            probes.back()->attachTo(*queues[s]);
-        }
-        const std::size_t num_links = links.size();
-        for (std::size_t i = 0; i < num_links; ++i) {
-            Link *lk = links[i].get();
-            probes[link_shards[i]]->addEntity(
-                i, lk->name(), "link", {"utilization", "queuedBytes"},
-                [lk, tele_interval, last_busy = Tick{0}](
-                    Tick boundary, std::vector<double> &out) mutable {
-                    // Wire time committed this interval over the
-                    // interval; a burst that books the wire past the
-                    // boundary can push it above 1 (the backlog then
-                    // shows up in queuedBytes).
-                    Tick busy = lk->busyTicks();
-                    out.push_back(static_cast<double>(busy - last_busy) /
-                                  static_cast<double>(tele_interval));
-                    last_busy = busy;
-                    out.push_back(lk->queuedBytesAt(boundary));
+    for (const auto &q : f.queues) {
+        probes.push_back(std::make_unique<TelemetryProbe>(interval));
+        probes.back()->attachTo(*q);
+    }
+    for (std::size_t i = 0; i < f.links.size(); ++i) {
+        Link *lk = f.links[i].get();
+        probes[f.linkShards[i]]->addEntity(
+            i, lk->name(), "link", {"utilization", "queuedBytes"},
+            [lk, interval, last_busy = Tick{0}](
+                Tick boundary, std::vector<double> &out) mutable {
+                // Wire time committed this interval over the interval;
+                // a burst that books the wire past the boundary can
+                // push it above 1 (the backlog then shows up in
+                // queuedBytes).
+                Tick busy = lk->busyTicks();
+                out.push_back(static_cast<double>(busy - last_busy) /
+                              static_cast<double>(interval));
+                last_busy = busy;
+                out.push_back(lk->queuedBytesAt(boundary));
+            });
+    }
+    for (SwitchId sid = 0; sid < f.topo.numSwitches(); ++sid) {
+        Switch *sw = f.switches[sid].get();
+        probes[f.shardMap.shardOfSwitch(sid)]->addEntity(
+            f.switchComp(sid), f.switchNames[sid], "switch",
+            {"outQueueBytes", "cacheHits", "cacheMisses", "cacheInserts"},
+            [sw, last_hits = std::uint64_t{0},
+             last_lookups = std::uint64_t{0},
+             last_inserts = std::uint64_t{0}](
+                Tick boundary, std::vector<double> &out) mutable {
+                double backlog = 0.0;
+                for (const Link *l : sw->outLinks())
+                    backlog += l->queuedBytesAt(boundary);
+                out.push_back(backlog);
+                std::uint64_t hits = sw->cacheHits();
+                std::uint64_t lookups = sw->cacheLookups();
+                std::uint64_t inserts = sw->cacheInserts();
+                out.push_back(static_cast<double>(hits - last_hits));
+                out.push_back(static_cast<double>(
+                    (lookups - last_lookups) - (hits - last_hits)));
+                out.push_back(static_cast<double>(inserts - last_inserts));
+                last_hits = hits;
+                last_lookups = lookups;
+                last_inserts = inserts;
+            });
+    }
+    for (NodeId nid = 0; nid < f.cfg.numNodes; ++nid) {
+        for (std::uint32_t t = 0; t < f.T; ++t) {
+            Snic *sn = &f.snic(nid, t);
+            probes[f.shardMap.shardOfNode(nid)]->addEntity(
+                f.sliceComp(nid, t), f.sliceName(nid, t) + ".rig", "rig",
+                {"inflightPrs", "retransmits"},
+                [sn, last_retx = std::uint64_t{0}](
+                    Tick, std::vector<double> &out) mutable {
+                    out.push_back(static_cast<double>(sn->inflightPrs()));
+                    std::uint64_t retx = sn->totalRetransmits();
+                    out.push_back(static_cast<double>(retx - last_retx));
+                    last_retx = retx;
                 });
-        }
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
-            Switch *sw = switches[sid].get();
-            probes[shard_map.shardOfSwitch(sid)]->addEntity(
-                num_links + sid, switch_names[sid], "switch",
-                {"outQueueBytes", "cacheHits", "cacheMisses",
-                 "cacheInserts"},
-                [sw, last_hits = std::uint64_t{0},
-                 last_lookups = std::uint64_t{0},
-                 last_inserts = std::uint64_t{0}](
-                    Tick boundary, std::vector<double> &out) mutable {
-                    double backlog = 0.0;
-                    for (const Link *l : sw->outLinks())
-                        backlog += l->queuedBytesAt(boundary);
-                    out.push_back(backlog);
-                    std::uint64_t hits = sw->cacheHits();
-                    std::uint64_t lookups = sw->cacheLookups();
-                    std::uint64_t inserts = sw->cacheInserts();
-                    out.push_back(
-                        static_cast<double>(hits - last_hits));
-                    out.push_back(static_cast<double>(
-                        (lookups - last_lookups) - (hits - last_hits)));
-                    out.push_back(
-                        static_cast<double>(inserts - last_inserts));
-                    last_hits = hits;
-                    last_lookups = lookups;
-                    last_inserts = inserts;
-                });
-        }
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            for (std::uint32_t t = 0; t < T; ++t) {
-                Snic *sn = &snic_at(nid, t);
-                std::string rig_id =
-                    multi ? "node" + std::to_string(nid) + ".job" +
-                                std::to_string(t) + ".rig"
-                          : "node" + std::to_string(nid) + ".rig";
-                probes[shard_map.shardOfNode(nid)]->addEntity(
-                    num_links + topo.numSwitches() +
-                        std::size_t{nid} * T + t,
-                    rig_id, "rig", {"inflightPrs", "retransmits"},
-                    [sn, last_retx = std::uint64_t{0}](
-                        Tick, std::vector<double> &out) mutable {
-                        out.push_back(
-                            static_cast<double>(sn->inflightPrs()));
-                        std::uint64_t retx = sn->totalRetransmits();
-                        out.push_back(
-                            static_cast<double>(retx - last_retx));
-                        last_retx = retx;
-                    });
-            }
-        }
-        if (multi) {
-            // Cluster-wide per-tenant series. Each shard samples its
-            // own slice of the tenant (its nodes' virtual SNICs) under
-            // the tenant's shared order key and id; the merge below
-            // folds same-id slices elementwise, so the published
-            // series is the cluster-wide sum regardless of how nodes
-            // landed on shards.
-            const std::size_t base = links.size() + topo.numSwitches() +
-                                     std::size_t{cfg_.numNodes} * T;
-            for (std::uint32_t s = 0; s < num_shards; ++s) {
-                for (std::uint32_t t = 0; t < T; ++t) {
-                    std::vector<Snic *> slice;
-                    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid)
-                        if (shard_map.shardOfNode(nid) == s)
-                            slice.push_back(&snic_at(nid, t));
-                    if (slice.empty())
-                        continue;
-                    probes[s]->addEntity(
-                        base + t, "tenant" + std::to_string(t),
-                        "tenant", {"inflightPrs", "rxPayloadBytes"},
-                        [slice = std::move(slice),
-                         last_payload = std::uint64_t{0}](
-                            Tick, std::vector<double> &out) mutable {
-                            std::uint64_t inflight = 0, payload = 0;
-                            for (const Snic *sn : slice) {
-                                inflight += sn->inflightPrs();
-                                payload += sn->rxPayloadBytes();
-                            }
-                            out.push_back(
-                                static_cast<double>(inflight));
-                            out.push_back(static_cast<double>(
-                                payload - last_payload));
-                            last_payload = payload;
-                        });
-                }
-            }
         }
     }
+    if (!f.multi)
+        return probes;
+    // Cluster-wide per-tenant series. Each shard samples its own slice
+    // of the tenant (its nodes' virtual SNICs) under the tenant's
+    // shared order key and id; mergeTelemetry folds same-id slices
+    // elementwise, so the published series is the cluster-wide sum
+    // regardless of how nodes landed on shards.
+    for (std::uint32_t s = 0; s < f.numShards(); ++s) {
+        for (std::uint32_t t = 0; t < f.T; ++t) {
+            std::vector<Snic *> slice;
+            for (NodeId nid = 0; nid < f.cfg.numNodes; ++nid)
+                if (f.shardMap.shardOfNode(nid) == s)
+                    slice.push_back(&f.snic(nid, t));
+            if (slice.empty())
+                continue;
+            probes[s]->addEntity(
+                f.sliceComp(f.cfg.numNodes, t), "tenant" + std::to_string(t),
+                "tenant", {"inflightPrs", "rxPayloadBytes"},
+                [slice = std::move(slice), last_payload = std::uint64_t{0}](
+                    Tick, std::vector<double> &out) mutable {
+                    std::uint64_t inflight = 0, payload = 0;
+                    for (const Snic *sn : slice) {
+                        inflight += sn->inflightPrs();
+                        payload += sn->rxPayloadBytes();
+                    }
+                    out.push_back(static_cast<double>(inflight));
+                    out.push_back(
+                        static_cast<double>(payload - last_payload));
+                    last_payload = payload;
+                });
+        }
+    }
+    return probes;
+}
 
-    // --- Run ---
-    Tick final_tick = 0;
-    std::uint64_t executed_events = 0;
-    std::uint64_t epochs = 0;
-    if (num_shards == 1) {
-        queues[0]->runUntil(cfg_.maxSimTime);
-        final_tick = queues[0]->now();
-        executed_events = queues[0]->executedEvents();
+void
+mergeTelemetry(const Fabric &f,
+               std::vector<std::unique_ptr<TelemetryProbe>> &probes,
+               Tick final_tick)
+{
+    // Boundaries past each shard's last event never fired in the
+    // dispatch loop; sample them against the global final tick so
+    // every probe ends with the same timeline.
+    for (auto &p : probes)
+        p->flushUntil(final_tick);
+    const std::size_t samples = probes[0]->numSamples();
+    for (const auto &p : probes)
+        ns_assert(p->numSamples() == samples,
+                  "telemetry probes disagree on the sample count");
+    TelemetryRun &trun = TelemetrySink::instance().beginRun();
+    trun.intervalTicks = f.cfg.telemetryInterval;
+    trun.finalTick = final_tick;
+    trun.sampleTicks.reserve(samples);
+    for (std::size_t i = 1; i <= samples; ++i)
+        trun.sampleTicks.push_back(i * f.cfg.telemetryInterval);
+    for (auto &p : probes) {
+        for (auto &e : p->takeEntities()) {
+            // Fold each tenant's per-shard slices into one entity.
+            auto it = trun.entities.end();
+            if (e.kind == "tenant")
+                it = std::find_if(
+                    trun.entities.begin(), trun.entities.end(),
+                    [&e](const TelemetryEntity &o) { return o.id == e.id; });
+            if (it == trun.entities.end()) {
+                trun.entities.push_back(std::move(e));
+                continue;
+            }
+            for (std::size_t si = 0; si < e.series.size(); ++si)
+                for (std::size_t j = 0; j < e.series[si].size(); ++j)
+                    it->series[si][j] += e.series[si][j];
+        }
+    }
+    std::sort(trun.entities.begin(), trun.entities.end(),
+              [](const TelemetryEntity &a, const TelemetryEntity &b) {
+                  return a.order < b.order;
+              });
+    // Per-shard event throughput is the one inherently shard-dependent
+    // series; the document carries the cluster-wide sum as a single
+    // trailing "sim" entity (exact: the counts are integers far below
+    // 2^53).
+    TelemetryEntity sim;
+    sim.order = f.sliceComp(f.cfg.numNodes, f.T);
+    sim.id = "sim";
+    sim.kind = "sim";
+    sim.seriesNames = {"events"};
+    sim.series.emplace_back(samples, 0.0);
+    for (const auto &p : probes) {
+        const auto &ev = p->eventsPerInterval();
+        for (std::size_t i = 0; i < samples; ++i)
+            sim.series[0][i] += ev[i];
+    }
+    trun.entities.push_back(std::move(sim));
+}
+
+/**
+ * Run every queue until it drains or reaches the simulation cap. Fatal,
+ * naming the first stuck slice, unless every host finished.
+ */
+ShardEngine::Result
+runFabric(Fabric &f)
+{
+    ShardEngine::Result res;
+    if (f.numShards() == 1) {
+        EventQueue &eq = *f.queues[0];
+        eq.runUntil(f.cfg.maxSimTime);
+        res.finalTick = eq.now();
+        res.executedEvents = eq.executedEvents();
     } else {
-        std::vector<ShardEngine::Shard> shards(num_shards);
-        for (std::uint32_t d = 0; d < num_shards; ++d) {
-            shards[d].eq = queues[d].get();
-            // Drain inbound mailboxes in fixed source order; the
-            // banded delivery keys then restore the canonical event
-            // order inside the destination queue.
-            shards[d].drainInbox = [&mailboxes, &queues, d,
-                                    num_shards] {
-                EventQueue &dst = *queues[d];
-                for (std::uint32_t s = 0; s < num_shards; ++s) {
-                    mailboxes[s][d].box.drain(
-                        [&dst](PendingDelivery &&rec) {
-                            dst.scheduleDelivery(
-                                rec.when, rec.key,
-                                [sink = rec.sink, port = rec.port,
-                                 p = std::move(rec.pkt)]() mutable {
-                                    sink->receivePacket(std::move(p),
-                                                        port);
-                                });
-                        });
+        std::vector<ShardEngine::Shard> shards(f.numShards());
+        for (std::uint32_t d = 0; d < f.numShards(); ++d) {
+            shards[d].eq = f.queues[d].get();
+            // Drain inbound mailboxes in fixed source order; the banded
+            // delivery keys then restore the canonical event order
+            // inside the destination queue.
+            shards[d].drainInbox = [&f, d] {
+                EventQueue &dst = *f.queues[d];
+                for (auto &row : f.mailboxes) {
+                    row[d].box.drain([&dst](PendingDelivery &&rec) {
+                        dst.scheduleDelivery(
+                            rec.when, rec.key,
+                            [sink = rec.sink, port = rec.port,
+                             p = std::move(rec.pkt)]() mutable {
+                                sink->receivePacket(std::move(p), port);
+                            });
+                    });
                 }
             };
         }
-        ShardEngine::Result res =
-            ShardEngine::run(std::move(shards), lookahead,
-                             cfg_.maxSimTime);
-        final_tick = res.finalTick;
-        executed_events = res.executedEvents;
-        epochs = res.epochs;
+        res = ShardEngine::run(std::move(shards), f.lookahead,
+                               f.cfg.maxSimTime);
     }
-    std::uint32_t done_count = 0;
-    for (const auto &h : hosts)
-        done_count += h->done() ? 1 : 0;
-    if (done_count != cfg_.numNodes * T) {
+    auto finished = [](const auto &h) { return h->done(); };
+    auto stuck = std::find_if_not(f.hosts.begin(), f.hosts.end(), finished);
+    if (stuck != f.hosts.end()) {
+        const auto i = static_cast<std::uint32_t>(stuck - f.hosts.begin());
         ns_fatal("gather deadlocked or exceeded the simulation cap: ",
-                 done_count, "/", cfg_.numNodes * T,
-                 " hosts finished by ", ticks::toNs(final_tick), " ns");
+                 std::count_if(f.hosts.begin(), f.hosts.end(), finished),
+                 "/", f.hosts.size(), " hosts finished by ",
+                 ticks::toNs(res.finalTick), " ns; first unfinished: ",
+                 f.sliceName(i / f.T, i % f.T), " with ",
+                 f.snic(i / f.T, i % f.T).inflightPrs(), " PRs in flight");
     }
+    return res;
+}
 
-    // --- Merge spans ---
-    if (spans_on) {
-        std::vector<SpanBuffer *> bufs;
-        bufs.reserve(span_bufs.size());
-        for (auto &b : span_bufs)
-            bufs.push_back(b.get());
-        SpanRun &srun = SpanSink::instance().beginRun();
-        srun.params = span_params;
-        srun.finalTick = final_tick;
-        srun.components = span_comps;
-        buildSpanRun(srun, bufs);
-        // Also render the kept spans as Perfetto async spans when a
-        // trace is being captured alongside.
-        if (NS_TRACE_ON())
-            exportSpansToTrace(TraceWriter::instance(), srun);
-    }
-
-    // --- Merge telemetry ---
-    if (telemetry_on) {
-        // Boundaries past each shard's last event never fired in the
-        // dispatch loop; sample them against the global final tick so
-        // every probe ends with the same timeline.
-        for (auto &p : probes)
-            p->flushUntil(final_tick);
-        const std::size_t samples = probes[0]->numSamples();
-        for (const auto &p : probes)
-            ns_assert(p->numSamples() == samples,
-                      "telemetry probes disagree on the sample count");
-        TelemetryRun &trun = TelemetrySink::instance().beginRun();
-        trun.intervalTicks = tele_interval;
-        trun.finalTick = final_tick;
-        trun.sampleTicks.reserve(samples);
-        for (std::size_t i = 1; i <= samples; ++i)
-            trun.sampleTicks.push_back(i * tele_interval);
-        for (auto &p : probes)
-            for (auto &e : p->takeEntities())
-                trun.entities.push_back(std::move(e));
-        if (multi) {
-            // Fold each tenant's per-shard slices into one entity.
-            std::vector<TelemetryEntity> folded;
-            for (auto &e : trun.entities) {
-                if (e.kind != "tenant") {
-                    folded.push_back(std::move(e));
-                    continue;
-                }
-                auto it = std::find_if(
-                    folded.begin(), folded.end(),
-                    [&e](const TelemetryEntity &f) {
-                        return f.kind == "tenant" && f.id == e.id;
-                    });
-                if (it == folded.end()) {
-                    folded.push_back(std::move(e));
-                    continue;
-                }
-                for (std::size_t si = 0; si < e.series.size(); ++si)
-                    for (std::size_t j = 0; j < e.series[si].size();
-                         ++j)
-                        it->series[si][j] += e.series[si][j];
-            }
-            trun.entities = std::move(folded);
-        }
-        std::sort(trun.entities.begin(), trun.entities.end(),
-                  [](const TelemetryEntity &a, const TelemetryEntity &b) {
-                      return a.order < b.order;
-                  });
-        // Per-shard event throughput is the one inherently
-        // shard-dependent series; the document carries the cluster-wide
-        // sum as a single trailing "sim" entity (exact: the counts are
-        // integers far below 2^53).
-        TelemetryEntity sim;
-        sim.order = links.size() + topo.numSwitches() +
-                    std::size_t{cfg_.numNodes} * T + (multi ? T : 0);
-        sim.id = "sim";
-        sim.kind = "sim";
-        sim.seriesNames = {"events"};
-        sim.series.emplace_back(samples, 0.0);
-        for (const auto &p : probes) {
-            const auto &ev = p->eventsPerInterval();
-            for (std::size_t i = 0; i < samples; ++i)
-                sim.series[0][i] += ev[i];
-        }
-        trun.entities.push_back(std::move(sim));
-    }
-
-    // --- Collect results ---
+MultiJobResult
+collectResults(const Fabric &f, const std::vector<JobSpec> &jobs,
+               const ShardEngine::Result &res)
+{
+    const ClusterConfig &cfg = f.cfg;
     MultiJobResult mr;
-    mr.jobs.resize(T);
-    for (std::uint32_t t = 0; t < T; ++t) {
+    mr.jobs.resize(f.T);
+    // Shared-fabric totals, summed once. The single-job result carries
+    // them itself; a multi-tenant run defines only the cluster-wide
+    // copies.
+    GatherRunResult shared;
+    GatherRunResult &fab = f.multi ? shared : mr.jobs[0];
+    for (const auto &l : f.links) {
+        fab.totalWireBytes += l->bytesSent();
+        fab.packetsDropped += l->packetsDropped();
+        if (const LinkFaultInjector *fi = l->faults()) {
+            fab.corruptedPrs += fi->stats().corruptedPrs;
+            fab.linkDownDrops += fi->stats().linkDownDrops;
+            fab.linkDownTicks += fi->stats().linkDownTicks;
+            fab.degradedTicks += fi->stats().degradedTicks;
+        }
+    }
+    for (const auto &sw : f.switches) {
+        fab.cacheLookups += sw->cacheLookups();
+        fab.cacheHits += sw->cacheHits();
+        fab.cachePoisonRejected += sw->poisonRejected();
+        fab.cacheBypasses += sw->cacheBypasses();
+        mr.prsServedByCache += sw->prsServedByCache(); // split by job below
+    }
+    mr.totalWireBytes = fab.totalWireBytes;
+    mr.packetsDropped = fab.packetsDropped;
+    mr.cacheLookups = fab.cacheLookups;
+    mr.cacheHits = fab.cacheHits;
+    mr.executedEvents = res.executedEvents;
+    mr.finalTick = res.finalTick;
+    mr.simShards = f.numShards();
+    mr.lookaheadTicks = f.numShards() > 1 ? f.lookahead : 0;
+    mr.epochs = res.epochs;
+    for (const auto &src : f.bgSources) {
+        mr.backgroundPackets += src->packetsInjected();
+        mr.backgroundBytes += src->bytesInjected();
+    }
+    for (const auto &d : f.demuxes) {
+        mr.backgroundDelivered += d->rawPackets();
+        mr.backgroundDeliveredBytes += d->rawBytes();
+    }
+
+    for (std::uint32_t t = 0; t < f.T; ++t) {
         GatherRunResult &r = mr.jobs[t];
-        r.nodes.resize(cfg_.numNodes);
+        r.nodes.resize(cfg.numNodes);
         std::uint64_t job_rx_prs = 0, job_rx_packets = 0;
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
+        for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
             NodeRunStats &st = r.nodes[nid];
-            const HostNode &host = host_at(nid, t);
-            const Snic &sn = snic_at(nid, t);
+            const HostNode &host = f.host(nid, t);
+            const Snic &sn = f.snic(nid, t);
+            static_cast<RigClientStats &>(st) = sn.aggregateClientStats();
             st.finishTick = host.finishTick();
-            RigClientStats cs = sn.aggregateClientStats();
-            st.idxsProcessed = cs.idxsProcessed;
-            st.localIdxs = cs.localIdxs;
-            st.prsIssued = cs.prsIssued;
-            st.filtered = cs.filtered;
-            st.coalesced = cs.coalesced;
-            st.watchdogFailures = cs.watchdogFailures;
-            st.pendingStalls = cs.pendingStalls;
-            st.txStalls = cs.txStalls;
             st.commandsIssued = host.commandsIssued();
-            st.retransmits = cs.retransmits;
-            st.nacks = cs.nacks;
-            st.corruptDropped = cs.corruptDropped;
-            st.duplicatesSuppressed = cs.duplicatesSuppressed;
-            st.retriesExhausted = cs.retriesExhausted;
             st.commandRetries = host.commandRetries();
             st.permanentFailures = host.permanentFailures();
             st.rxPackets = sn.rxPackets();
@@ -793,28 +719,29 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
                 r.tailNode = nid;
             }
         }
-        r.recoveryEnabled = recovery_enabled;
-        r.faultsEnabled = cfg_.faults.enabled();
+        r.recoveryEnabled = cfg.snic.rigUnit.retry.enabled;
+        r.faultsEnabled = cfg.faults.enabled();
         r.avgPrsPerPacket =
             job_rx_packets ? static_cast<double>(job_rx_prs) /
                                  job_rx_packets
                            : 0.0;
-        r.executedEvents = executed_events;
-        r.finalTick = final_tick;
-        r.simShards = num_shards;
-        r.lookaheadTicks = num_shards > 1 ? lookahead : 0;
-        r.epochs = epochs;
-        if (T > 1)
-            for (const auto &sw : switches)
-                r.prsServedByCache += sw->prsServedByCache(t);
+        r.executedEvents = mr.executedEvents;
+        r.finalTick = mr.finalTick;
+        r.simShards = mr.simShards;
+        r.lookaheadTicks = mr.lookaheadTicks;
+        r.epochs = mr.epochs;
+        // The job's share of the cache serves (all of them when the
+        // switches serve one tenant).
+        for (const auto &sw : f.switches)
+            r.prsServedByCache += sw->prsServedByCache(t);
         // The SLO denominator is the job's own active span: admission
         // (startDelay) to its tail node's completion. With one job at
-        // t0 this is exactly the legacy commTicks window.
+        // t0 this is exactly the single-job commTicks window.
         Tick duration = r.commTicks > jobs[t].startDelay
                             ? r.commTicks - jobs[t].startDelay
                             : 0;
         if (duration > 0) {
-            double line_bpp = cfg_.link.bandwidth.bytesPerPs();
+            double line_bpp = cfg.link.bandwidth.bytesPerPs();
             const NodeRunStats &tail = r.tail();
             r.tailLineUtil =
                 static_cast<double>(tail.rxBytes) /
@@ -825,152 +752,201 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         }
         mr.makespanTicks = std::max(mr.makespanTicks, r.commTicks);
     }
-    for (const auto &l : links) {
-        mr.totalWireBytes += l->bytesSent();
-        mr.packetsDropped += l->packetsDropped();
-    }
-    for (const auto &sw : switches) {
-        mr.cacheLookups += sw->cacheLookups();
-        mr.cacheHits += sw->cacheHits();
-        mr.prsServedByCache += sw->prsServedByCache();
-    }
-    mr.executedEvents = executed_events;
-    mr.finalTick = final_tick;
-    mr.simShards = num_shards;
-    mr.lookaheadTicks = num_shards > 1 ? lookahead : 0;
-    mr.epochs = epochs;
-    for (const auto &src : bg_sources) {
-        mr.backgroundPackets += src->packetsInjected();
-        mr.backgroundBytes += src->bytesInjected();
-    }
-    for (const auto &d : demuxes) {
-        mr.backgroundDelivered += d->rawPackets();
-        mr.backgroundDeliveredBytes += d->rawBytes();
-    }
-    if (!multi) {
-        // The legacy single-job result carries the fabric-wide totals
-        // itself (shared-fabric splits are well defined with one
-        // tenant).
-        GatherRunResult &r = mr.jobs[0];
-        for (const auto &l : links) {
-            r.totalWireBytes += l->bytesSent();
-            r.packetsDropped += l->packetsDropped();
-            if (const LinkFaultInjector *fi = l->faults()) {
-                r.corruptedPrs += fi->stats().corruptedPrs;
-                r.linkDownDrops += fi->stats().linkDownDrops;
-                r.linkDownTicks += fi->stats().linkDownTicks;
-                r.degradedTicks += fi->stats().degradedTicks;
-            }
-        }
-        for (const auto &sw : switches) {
-            r.cacheLookups += sw->cacheLookups();
-            r.cacheHits += sw->cacheHits();
-            r.prsServedByCache += sw->prsServedByCache();
-            r.cachePoisonRejected += sw->poisonRejected();
-            r.cacheBypasses += sw->cacheBypasses();
-        }
-    }
+    return mr;
+}
 
-    // --- Detailed observability snapshot (--stats-json) ---
-    // Deposited while the components are still alive, so the snapshot
-    // carries per-RIG-unit, per-concatenator and per-switch-cache
-    // counters that GatherRunResult does not retain.
-    if (StatsExport::instance().enabled()) {
-        StatRegistry &reg = StatsExport::instance().beginRun();
-        if (!multi) {
-            // The legacy single-job document, byte for byte.
-            mr.jobs[0].exportStats(reg);
-        } else {
-            reg.set("cluster.jobs", static_cast<double>(T));
-            reg.set("cluster.makespanTicks",
-                    static_cast<double>(mr.makespanTicks));
-            reg.set("cluster.totalWireBytes",
-                    static_cast<double>(mr.totalWireBytes));
-            reg.set("cluster.cacheLookups",
-                    static_cast<double>(mr.cacheLookups));
-            reg.set("cluster.cacheHits",
-                    static_cast<double>(mr.cacheHits));
-            reg.set("cluster.prsServedByCache",
-                    static_cast<double>(mr.prsServedByCache));
-            for (std::uint32_t t = 0; t < T; ++t)
-                exportTenantStats(reg,
-                                  "cluster.tenant" + std::to_string(t),
-                                  mr.jobs[t], jobs[t].startDelay);
-            if (bg.enabled()) {
-                reg.set("cluster.background.packetsInjected",
-                        static_cast<double>(mr.backgroundPackets));
-                reg.set("cluster.background.bytesInjected",
-                        static_cast<double>(mr.backgroundBytes));
-                reg.set("cluster.background.packetsDelivered",
-                        static_cast<double>(mr.backgroundDelivered));
-                reg.set("cluster.background.bytesDelivered",
-                        static_cast<double>(
-                            mr.backgroundDeliveredBytes));
-            }
-        }
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            std::string node = "node" + std::to_string(nid);
-            for (std::uint32_t t = 0; t < T; ++t)
-                snic_at(nid, t).exportStats(
-                    reg, multi ? node + ".job" + std::to_string(t) +
-                                     ".snic"
-                               : node + ".snic");
-            const Link *tx = nic_egress[nid];
-            reg.set(node + ".tx.packets",
-                    static_cast<double>(tx->packetsSent()));
-            reg.set(node + ".tx.bytes",
-                    static_cast<double>(tx->bytesSent()));
-            reg.set(node + ".tx.payloadBytes",
-                    static_cast<double>(tx->payloadBytesSent()));
-            reg.set(node + ".tx.busyTicks",
-                    static_cast<double>(tx->busyTicks()));
-            reg.set(node + ".tx.utilization", tx->utilization());
-        }
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid)
-            switches[sid]->exportStats(reg, switch_names[sid]);
-        reg.set("sim.executedEvents",
-                static_cast<double>(executed_events));
-        reg.set("sim.finalTick", static_cast<double>(final_tick));
-        if (telemetry_on) {
-            // Cluster-wide PR latency decomposition; per-node averages
-            // ride each SNIC's own exportStats above. Gated so the
-            // telemetry-off document stays byte-identical.
-            if (!multi) {
-                PrLatencyStats agg;
-                for (const auto &sn : snics)
-                    agg.merge(*sn->prLatency());
-                agg.exportStats(reg, "cluster.prLatency");
-            } else {
-                for (std::uint32_t t = 0; t < T; ++t) {
-                    PrLatencyStats agg;
-                    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid)
-                        agg.merge(*snic_at(nid, t).prLatency());
-                    agg.exportStats(reg, "cluster.tenant" +
-                                             std::to_string(t) +
-                                             ".prLatency");
-                }
-            }
-        }
-        if (cfg_.memoryStats) {
-            // Per-shard arena accounting (sim/arena.hh). Shard workers
-            // were joined above, so their arenas have flushed into the
-            // registry; fold in the calling thread's live arenas (the
-            // sequential engine's buffers live here). Gated: these are
-            // process-lifetime host diagnostics, outside the
-            // byte-identical stats contract (see ClusterConfig).
-            ArenaStats mem = ArenaStatsRegistry::instance().totals();
-            mem.add(BufferArena<Packet>::local().stats());
-            mem.add(BufferArena<PropertyRequest>::local().stats());
-            reg.set("cluster.memory.arenaReservedBytes",
-                    static_cast<double>(mem.reservedBytes));
-            reg.set("cluster.memory.arenaHighWaterBytes",
-                    static_cast<double>(mem.highWaterBytes));
-            reg.set("cluster.memory.arenaPoolHits",
-                    static_cast<double>(mem.poolHits));
-            reg.set("cluster.memory.arenaPoolMisses",
-                    static_cast<double>(mem.poolMisses));
+/**
+ * The --stats-json snapshot. Deposited while the components are still
+ * alive, so it carries per-RIG-unit, per-concatenator and
+ * per-switch-cache counters that GatherRunResult does not retain.
+ */
+void
+exportRunStats(const Fabric &f, const MultiJobResult &mr,
+               const std::vector<JobSpec> &jobs,
+               const BackgroundTrafficConfig &bg, bool telemetry_on)
+{
+    StatRegistry &reg = StatsExport::instance().beginRun();
+    if (!f.multi) {
+        mr.jobs[0].exportStats(reg);
+    } else {
+        reg.set("cluster.jobs", static_cast<double>(f.T));
+        reg.set("cluster.makespanTicks",
+                static_cast<double>(mr.makespanTicks));
+        reg.set("cluster.totalWireBytes",
+                static_cast<double>(mr.totalWireBytes));
+        reg.set("cluster.cacheLookups",
+                static_cast<double>(mr.cacheLookups));
+        reg.set("cluster.cacheHits", static_cast<double>(mr.cacheHits));
+        reg.set("cluster.prsServedByCache",
+                static_cast<double>(mr.prsServedByCache));
+        for (std::uint32_t t = 0; t < f.T; ++t)
+            exportTenantStats(reg, "cluster.tenant" + std::to_string(t),
+                              mr.jobs[t], jobs[t].startDelay);
+        if (bg.enabled()) {
+            reg.set("cluster.background.packetsInjected",
+                    static_cast<double>(mr.backgroundPackets));
+            reg.set("cluster.background.bytesInjected",
+                    static_cast<double>(mr.backgroundBytes));
+            reg.set("cluster.background.packetsDelivered",
+                    static_cast<double>(mr.backgroundDelivered));
+            reg.set("cluster.background.bytesDelivered",
+                    static_cast<double>(mr.backgroundDeliveredBytes));
         }
     }
+    for (NodeId nid = 0; nid < f.cfg.numNodes; ++nid) {
+        for (std::uint32_t t = 0; t < f.T; ++t)
+            f.snic(nid, t).exportStats(reg, f.snic(nid, t).name());
+        std::string node = "node" + std::to_string(nid);
+        const Link *tx = f.nicEgress[nid];
+        reg.set(node + ".tx.packets",
+                static_cast<double>(tx->packetsSent()));
+        reg.set(node + ".tx.bytes", static_cast<double>(tx->bytesSent()));
+        reg.set(node + ".tx.payloadBytes",
+                static_cast<double>(tx->payloadBytesSent()));
+        reg.set(node + ".tx.busyTicks",
+                static_cast<double>(tx->busyTicks()));
+        reg.set(node + ".tx.utilization", tx->utilization());
+    }
+    for (SwitchId sid = 0; sid < f.topo.numSwitches(); ++sid)
+        f.switches[sid]->exportStats(reg, f.switchNames[sid]);
+    reg.set("sim.executedEvents", static_cast<double>(mr.executedEvents));
+    reg.set("sim.finalTick", static_cast<double>(mr.finalTick));
+    if (telemetry_on) {
+        // Cluster-wide PR latency decomposition; per-node averages ride
+        // each SNIC's own exportStats above. Gated so the telemetry-off
+        // document stays byte-identical.
+        for (std::uint32_t t = 0; t < f.T; ++t) {
+            PrLatencyStats agg;
+            for (NodeId nid = 0; nid < f.cfg.numNodes; ++nid)
+                agg.merge(*f.snic(nid, t).prLatency());
+            agg.exportStats(reg, f.multi ? "cluster.tenant" +
+                                               std::to_string(t) +
+                                               ".prLatency"
+                                         : "cluster.prLatency");
+        }
+    }
+    if (f.cfg.memoryStats) {
+        // Per-shard arena accounting (sim/arena.hh). Shard workers were
+        // joined by the run, so their arenas have flushed into the
+        // registry; fold in the calling thread's live arenas (the
+        // sequential engine's buffers live here). Gated: these are
+        // process-lifetime host diagnostics, outside the byte-identical
+        // stats contract (see ClusterConfig).
+        ArenaStats mem = ArenaStatsRegistry::instance().totals();
+        mem.add(BufferArena<Packet>::local().stats());
+        mem.add(BufferArena<PropertyRequest>::local().stats());
+        reg.set("cluster.memory.arenaReservedBytes",
+                static_cast<double>(mem.reservedBytes));
+        reg.set("cluster.memory.arenaHighWaterBytes",
+                static_cast<double>(mem.highWaterBytes));
+        reg.set("cluster.memory.arenaPoolHits",
+                static_cast<double>(mem.poolHits));
+        reg.set("cluster.memory.arenaPoolMisses",
+                static_cast<double>(mem.poolMisses));
+    }
+}
+
+} // namespace
+
+JobScheduler::JobScheduler(ClusterConfig cfg) : cfg_(std::move(cfg))
+{
+    if (cfg_.eventBatching) {
+        if (cfg_.link.batchMaxPackets <= 1)
+            cfg_.link.batchMaxPackets = 16;
+        cfg_.snic.batchedServerReads = true;
+    }
+    // A lossy fabric needs the reliable-PR layer to terminate; the
+    // user may also enable it explicitly on a lossless one.
+    if (cfg_.faults.enabled())
+        cfg_.snic.rigUnit.retry.enabled = true;
+    ns_assert(cfg_.numNodes >= 1, "cluster needs nodes");
+    ns_assert(!cfg_.features.switchCache || cfg_.features.concatSwitch,
+              "the Property Cache lives in the middle pipes; enable "
+              "switch concatenation with it");
+}
+
+MultiJobResult
+JobScheduler::run(std::vector<JobSpec> &&jobs,
+                  const BackgroundTrafficConfig &bg)
+{
+    const auto T = static_cast<std::uint32_t>(jobs.size());
+    ns_assert(T >= 1, "the scheduler needs at least one job");
+    for (std::uint32_t t = 0; t < T; ++t) {
+        const GatherWorkload &work = jobs[t].work;
+        ns_assert(work.part.numParts() == cfg_.numNodes, "job ", t,
+                  ": partition has ", work.part.numParts(),
+                  " parts for ", cfg_.numNodes, " nodes");
+        ns_assert(work.streams.size() == cfg_.numNodes, "job ", t,
+                  ": workload has ", work.streams.size(),
+                  " streams for ", cfg_.numNodes, " nodes");
+        ns_assert(work.numIdxs >= work.part.total(), "job ", t,
+                  ": property space smaller than the partition");
+        // The tenant id salts checksums and cache keys above bit 40.
+        ns_assert(T == 1 || work.numIdxs <= (1ull << 40), "job ", t,
+                  ": property space too large for tenant-qualified keys");
+        ns_assert(jobs[t].k >= 1, "job ", t, ": k must be positive");
+    }
+    // One job without background traffic keeps the single-job
+    // cluster's names and stats document (see the header comment).
+    Fabric f(cfg_, T, T > 1 || bg.enabled());
+
+    // Span tracing (sim/span.hh): one recorder per shard, reached
+    // through the shard's own queue; the post-run merge restores one
+    // shard-count-invariant document. An enabled sink with all-zero
+    // params (the NETSPARSE_SPANS_OUT env path, where nothing touches
+    // ClusterConfig) falls back to the representative 1/64 sample,
+    // matching the CLI default.
+    const bool spans_on = SpanSink::instance().enabled();
+    SpanParams span_params = cfg_.spans;
+    if (spans_on && !span_params.enabled())
+        span_params.sampleEvery = 64;
+    std::vector<std::unique_ptr<SpanBuffer>> span_bufs;
+    if (spans_on) {
+        for (auto &q : f.queues) {
+            span_bufs.push_back(std::make_unique<SpanBuffer>(span_params));
+            q->setSpanBuffer(span_bufs.back().get());
+        }
+    }
+    // Interval telemetry and the PR latency lifecycle share one gate:
+    // both cost nothing (no collectors, no stamping, a dead probe
+    // branch in the dispatch loop) unless the sink is enabled.
+    const bool telemetry_on =
+        TelemetrySink::instance().enabled() && cfg_.telemetryInterval > 0;
+
+    buildComponents(f, jobs, bg, spans_on ? &span_params : nullptr,
+                    telemetry_on);
+    std::vector<std::unique_ptr<TelemetryProbe>> probes;
+    if (telemetry_on)
+        probes = attachTelemetry(f);
+
+    const ShardEngine::Result res = runFabric(f);
+
+    if (spans_on) {
+        std::vector<SpanBuffer *> bufs;
+        for (auto &b : span_bufs)
+            bufs.push_back(b.get());
+        SpanRun &srun = SpanSink::instance().beginRun();
+        srun.params = span_params;
+        srun.finalTick = res.finalTick;
+        // The name table: every component id's stats identity.
+        for (const auto &l : f.links)
+            srun.components.push_back(l->name());
+        for (const std::string &name : f.switchNames)
+            srun.components.push_back(name);
+        for (const auto &sn : f.snics)
+            srun.components.push_back(sn->name());
+        buildSpanRun(srun, bufs);
+        // Also render the kept spans as Perfetto async spans when a
+        // trace is being captured alongside.
+        if (NS_TRACE_ON())
+            exportSpansToTrace(TraceWriter::instance(), srun);
+    }
+    if (telemetry_on)
+        mergeTelemetry(f, probes, res.finalTick);
+
+    MultiJobResult mr = collectResults(f, jobs, res);
+    if (StatsExport::instance().enabled())
+        exportRunStats(f, mr, jobs, bg, telemetry_on);
     return mr;
 }
 

@@ -20,8 +20,11 @@
  * registered under cluster-wide order keys, hash-driven background
  * streams), so adding shards changes wall-clock time only.
  *
- * A single job with no background traffic takes the exact legacy
- * construction path - same component names, same stats document - so
+ * Construction is shared: one job builds the same slices, demuxes,
+ * switches and links as many. Only names and the stats document differ
+ * for a single job with no background traffic - its SNICs are
+ * "node<i>.snic" rather than "node<i>.job<t>.snic" and it exports the
+ * single-job cluster document rather than "cluster.tenant<t>.*" - so
  * ClusterSim::runGather delegates here unconditionally.
  */
 
@@ -94,8 +97,6 @@ class JobScheduler
      */
     MultiJobResult run(std::vector<JobSpec> &&jobs,
                        const BackgroundTrafficConfig &bg = {});
-
-    const ClusterConfig &config() const { return cfg_; }
 
   private:
     ClusterConfig cfg_;

@@ -160,9 +160,6 @@ class EventQueue
      */
     void addExecutedEvents(std::uint64_t n) { executed_ += n; }
 
-    /** Event-pool slot watermark (for the perf benchmark). */
-    std::size_t poolCapacity() const { return pool_.capacity(); }
-
     /**
      * Advance now() to @p t without executing anything. The parallel
      * engine uses this after the epoch loop so every shard's clock

@@ -129,7 +129,7 @@ class Snic : public PacketSink, public SnicContext
     std::uint32_t spanComp() const override { return spanComp_; }
 
     /** Set this SNIC's id in the run's span component name table
-     *  (sim/span.hh); assigned by the scheduler when spans are on. */
+     *  (sim/span.hh); assigned by the scheduler. */
     void setSpanComp(std::uint32_t comp) { spanComp_ = comp; }
 
     /**
@@ -151,7 +151,6 @@ class Snic : public PacketSink, public SnicContext
      * "node3.snic.rig0.prsIssued").
      */
     void exportStats(StatRegistry &reg, const std::string &prefix) const;
-    const Concatenator &concatenator() const { return *concat_; }
     std::uint64_t rxPackets() const { return rxPackets_; }
     std::uint64_t rxBytes() const { return rxBytes_; }
     std::uint64_t rxPayloadBytes() const { return rxPayloadBytes_; }
@@ -162,8 +161,6 @@ class Snic : public PacketSink, public SnicContext
     std::uint64_t inflightPrs() const;
     /** Retransmissions performed so far (telemetry retransmit rate). */
     std::uint64_t totalRetransmits() const;
-
-    RigClientUnit &clientUnit(std::uint32_t c) { return *clients_[c]; }
 
     const std::string &name() const { return name_; }
 

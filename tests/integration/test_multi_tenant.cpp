@@ -3,8 +3,10 @@
  * The multi-tenant headline guarantees: a 3-job run with background
  * traffic, fair queueing and partitioned caches produces byte-identical
  * stats and telemetry documents at 1, 2 and 4 shards; the documents
- * carry the cluster.tenant<t>.* schema; and the FIFO vs fair-queueing
- * choice is a real behavioral knob, not a label.
+ * carry the cluster.tenant<t>.* schema; the FIFO vs fair-queueing
+ * choice is a real behavioral knob, not a label; and one job sharing
+ * the fabric with background traffic is credited with every cache
+ * serve.
  */
 
 #include <gtest/gtest.h>
@@ -32,20 +34,6 @@ shardableCluster(std::uint32_t shards)
     return cfg;
 }
 
-GatherWorkload
-sliceWork(const Csr &m, std::uint32_t nodes)
-{
-    GatherWorkload w;
-    w.numIdxs = m.cols;
-    w.part = Partition1D::equalRows(m.rows, nodes);
-    w.streams.reserve(nodes);
-    for (NodeId nid = 0; nid < nodes; ++nid)
-        w.streams.emplace_back(
-            m.colIdx.begin() + m.rowPtr[w.part.begin(nid)],
-            m.colIdx.begin() + m.rowPtr[w.part.end(nid)]);
-    return w;
-}
-
 /** Three heterogeneous jobs: different matrices, K and admission. */
 std::vector<JobSpec>
 threeJobs()
@@ -54,12 +42,15 @@ threeJobs()
     static const Csr q = makeBenchmarkMatrix(MatrixKind::Queen, 0.02);
     static const Csr e = makeBenchmarkMatrix(MatrixKind::Europe, 0.02);
     std::vector<JobSpec> specs(3);
-    specs[0].work = sliceWork(a, 16);
+    specs[0].work =
+        GatherWorkload::slice(a, Partition1D::equalRows(a.rows, 16));
     specs[0].k = 16;
-    specs[1].work = sliceWork(q, 16);
+    specs[1].work =
+        GatherWorkload::slice(q, Partition1D::equalRows(q.rows, 16));
     specs[1].k = 8;
     specs[1].startDelay = 2 * ticks::us;
-    specs[2].work = sliceWork(e, 16);
+    specs[2].work =
+        GatherWorkload::slice(e, Partition1D::equalRows(e.rows, 16));
     specs[2].k = 32;
     specs[2].startDelay = 5 * ticks::us;
     return specs;
@@ -176,4 +167,20 @@ TEST(MultiTenant, FairQueueingChangesContendedTiming)
                                          b.result.jobs[j].commTicks;
     EXPECT_TRUE(any_differs)
         << "fair queueing had no effect on a contended run";
+}
+
+TEST(MultiTenant, SingleJobWithBackgroundOwnsTheCacheServes)
+{
+    // With one tenant the switches keep no per-tenant split; the job's
+    // share of the cache serves is the whole fabric's.
+    Csr a = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
+    std::vector<JobSpec> specs(1);
+    specs[0].work =
+        GatherWorkload::slice(a, Partition1D::equalRows(a.rows, 16));
+    BackgroundTrafficConfig bg;
+    ASSERT_TRUE(BackgroundTrafficConfig::parse("incast:0.4:300", bg));
+    MultiJobResult mr =
+        JobScheduler(shardableCluster(1)).run(std::move(specs), bg);
+    EXPECT_GT(mr.prsServedByCache, 0u);
+    EXPECT_EQ(mr.jobs[0].prsServedByCache, mr.prsServedByCache);
 }

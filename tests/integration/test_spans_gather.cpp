@@ -75,20 +75,6 @@ runCaptured(ClusterConfig cfg, const Csr &m, const Partition1D &part,
     return out;
 }
 
-GatherWorkload
-sliceWork(const Csr &m, std::uint32_t nodes)
-{
-    GatherWorkload w;
-    w.numIdxs = m.cols;
-    w.part = Partition1D::equalRows(m.rows, nodes);
-    w.streams.reserve(nodes);
-    for (NodeId nid = 0; nid < nodes; ++nid)
-        w.streams.emplace_back(
-            m.colIdx.begin() + m.rowPtr[w.part.begin(nid)],
-            m.colIdx.begin() + m.rowPtr[w.part.end(nid)]);
-    return w;
-}
-
 /** Two tenants with staggered admission: the congested tail-mode run. */
 std::vector<JobSpec>
 twoJobs()
@@ -96,9 +82,11 @@ twoJobs()
     static const Csr a = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
     static const Csr q = makeBenchmarkMatrix(MatrixKind::Queen, 0.02);
     std::vector<JobSpec> specs(2);
-    specs[0].work = sliceWork(a, 16);
+    specs[0].work =
+        GatherWorkload::slice(a, Partition1D::equalRows(a.rows, 16));
     specs[0].k = 16;
-    specs[1].work = sliceWork(q, 16);
+    specs[1].work =
+        GatherWorkload::slice(q, Partition1D::equalRows(q.rows, 16));
     specs[1].k = 8;
     specs[1].startDelay = 2 * ticks::us;
     return specs;

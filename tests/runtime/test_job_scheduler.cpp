@@ -2,12 +2,14 @@
  * @file
  * JobScheduler unit tests: the single-job schedule is the legacy
  * cluster run, concurrent jobs all complete with correct per-tenant
- * accounting, admission delays defer issue, and the background-traffic
- * config parses exactly what docs/observability.md promises.
+ * accounting, an admission delay holds a job back, a run cut off by
+ * the simulation cap is fatal, and the background-traffic config
+ * parses exactly what docs/observability.md promises.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,27 +32,13 @@ shardableCluster(std::uint32_t shards = 1)
     return cfg;
 }
 
-GatherWorkload
-sliceWork(const Csr &m, std::uint32_t nodes)
-{
-    GatherWorkload w;
-    w.numIdxs = m.cols;
-    w.part = Partition1D::equalRows(m.rows, nodes);
-    w.streams.reserve(nodes);
-    for (NodeId nid = 0; nid < nodes; ++nid)
-        w.streams.emplace_back(
-            m.colIdx.begin() + m.rowPtr[w.part.begin(nid)],
-            m.colIdx.begin() + m.rowPtr[w.part.end(nid)]);
-    return w;
-}
-
 } // namespace
 
 TEST(JobScheduler, SingleJobMatchesTheLegacyClusterRun)
 {
     // A one-job schedule with no background traffic must be the legacy
     // cluster run: same scalar results and a byte-identical stats
-    // document (the scheduler takes the exact legacy path for it).
+    // document.
     Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
     Partition1D part = Partition1D::equalRows(m.rows, 16);
 
@@ -69,7 +57,7 @@ TEST(JobScheduler, SingleJobMatchesTheLegacyClusterRun)
     {
         StatsExport::Bind bind(got_stats);
         std::vector<JobSpec> specs(1);
-        specs[0].work = sliceWork(m, 16);
+        specs[0].work = GatherWorkload::slice(m, part);
         specs[0].k = 16;
         JobScheduler sched(shardableCluster());
         mr = sched.run(std::move(specs));
@@ -91,9 +79,11 @@ TEST(JobScheduler, ConcurrentJobsAllCompleteWithOwnAccounting)
     Csr q = makeBenchmarkMatrix(MatrixKind::Queen, 0.02);
 
     std::vector<JobSpec> specs(2);
-    specs[0].work = sliceWork(a, 16);
+    specs[0].work =
+        GatherWorkload::slice(a, Partition1D::equalRows(a.rows, 16));
     specs[0].k = 16;
-    specs[1].work = sliceWork(q, 16);
+    specs[1].work =
+        GatherWorkload::slice(q, Partition1D::equalRows(q.rows, 16));
     specs[1].k = 8;
     JobScheduler sched(shardableCluster());
     MultiJobResult mr = sched.run(std::move(specs));
@@ -127,7 +117,8 @@ TEST(JobScheduler, StartDelayDefersAdmission)
     auto run_with_delay = [&](Tick d) {
         std::vector<JobSpec> specs(2);
         for (int j = 0; j < 2; ++j) {
-            specs[j].work = sliceWork(m, 16);
+            specs[j].work =
+                GatherWorkload::slice(m, Partition1D::equalRows(m.rows, 16));
             specs[j].k = 16;
         }
         specs[1].startDelay = d;
@@ -150,7 +141,8 @@ TEST(JobScheduler, BackgroundBudgetIsExactAndAccounted)
     ASSERT_TRUE(BackgroundTrafficConfig::parse("alltoall:0.5:50", bg));
 
     std::vector<JobSpec> specs(1);
-    specs[0].work = sliceWork(m, 16);
+    specs[0].work =
+        GatherWorkload::slice(m, Partition1D::equalRows(m.rows, 16));
     specs[0].k = 16;
     JobScheduler sched(shardableCluster());
     MultiJobResult mr = sched.run(std::move(specs), bg);
@@ -161,6 +153,31 @@ TEST(JobScheduler, BackgroundBudgetIsExactAndAccounted)
     EXPECT_GT(mr.backgroundDelivered, 0u);
     EXPECT_LE(mr.backgroundDelivered, mr.backgroundPackets);
     EXPECT_GT(mr.jobs[0].commTicks, 0u);
+}
+
+TEST(JobScheduler, SimulationCapIsFatal)
+{
+    // A run cut off by the simulation cap must fail loudly, naming the
+    // first slice that did not finish, at any shard count.
+    Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
+    for (std::uint32_t shards : {1u, 2u}) {
+        ClusterConfig cfg = shardableCluster(shards);
+        cfg.maxSimTime = 2 * ticks::us;
+        std::vector<JobSpec> specs(1);
+        specs[0].work =
+            GatherWorkload::slice(m, Partition1D::equalRows(m.rows, 16));
+        try {
+            JobScheduler(cfg).run(std::move(specs));
+            ADD_FAILURE() << "no fatal at " << shards << " shards";
+        } catch (const std::runtime_error &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("0/16 hosts finished"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("first unfinished: node0 with "),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST(BackgroundTraffic, SpecParsing)
