@@ -28,7 +28,7 @@ Concatenator::emitSolo(PropertyRequest &&pr, NodeId dest)
     pkt.type = pr.type;
     pkt.tenant = pr.tenant;
     pkt.concatenated = false;
-    pkt.spanned = pr.spanId != 0;
+    pkt.spanned = pr.traced;
     pkt.prs = acquirePrBuffer(1);
     pkt.prs.push_back(std::move(pr));
     ++packetsEmitted_;
@@ -107,7 +107,7 @@ Concatenator::push(PropertyRequest &&pr, NodeId dest)
     }
 
     bool was_empty = cq.prs.empty();
-    cq.spanned |= pr.spanId != 0;
+    cq.spanned |= pr.traced;
     cq.prs.push_back(std::move(pr));
     Tick now = eq_.now();
     if (was_empty)
@@ -215,6 +215,15 @@ Concatenator::flushAll()
         if (!cq.prs.empty())
             flush(cq, "flush.drain");
     }
+}
+
+std::uint64_t
+Concatenator::heldBufferBytes() const
+{
+    std::uint64_t prs = 0;
+    for (const auto &cq : queues_)
+        prs += cq.prs.capacity();
+    return prs * sizeof(PropertyRequest);
 }
 
 void

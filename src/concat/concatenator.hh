@@ -100,6 +100,13 @@ class Concatenator
     const std::string &name() const { return name_; }
 
     /**
+     * Host memory the CQ buffers hold: allocated capacity, not
+     * occupancy, times sizeof(PropertyRequest). A simulator cost, not
+     * modeled SRAM (that is occupiedBytes()).
+     */
+    std::uint64_t heldBufferBytes() const;
+
+    /**
      * Register every counter under "<prefix>." (the docs/observability.md
      * concatenator contract).
      */
@@ -112,7 +119,7 @@ class Concatenator
         std::uint32_t bytes = 0; // PR-layer bytes (headers + payloads)
         std::uint64_t generation = 0;
         bool armed = false; // an EQ entry (timer) is outstanding
-        /** Some waiting PR carries a span id (becomes Packet::spanned). */
+        /** Some waiting PR is traced (becomes Packet::spanned). */
         bool spanned = false;
         NodeId dest = invalidNode;
         PrType type = PrType::Read;

@@ -58,9 +58,9 @@ Link::send(Packet &&pkt)
         // the name table in the same order).
         if (SpanBuffer *sb = eq_.spans())
             for (const auto &pr : pkt.prs)
-                if (pr.spanId != 0)
-                    sb->record(pr.spanId, SpanStage::LinkTx, orderingId_,
-                               start, ser, wire);
+                if (pr.traced)
+                    sb->record(sb->idOf(pr), SpanStage::LinkTx,
+                               orderingId_, start, ser, wire);
     }
 
     if (verdict.dropOnWire) {

@@ -30,12 +30,40 @@ enum class PrType : std::uint8_t
     Response,
 };
 
-/** One Property Request: a fine-grained remote read or its response. */
+/**
+ * One Property Request: a fine-grained remote read or its response.
+ *
+ * Every PR buffer in the fabric (concatenation queues, link trains,
+ * switch pipes) holds these by value, so the layout is kept at 48 B:
+ * the flags and small ids share the first 8 bytes. Observability state
+ * that only the requester reads - the issue, NIC-egress and ToR-ingress
+ * lifecycle stamps - lives in the requester shard's stamp board
+ * (net/pr_latency.hh), and a span id is recomputed from the PR's
+ * identity where a span event is recorded (sim/span.hh).
+ */
 struct PropertyRequest
 {
     PrType type = PrType::Read;
-    /** Node that issued the original read. */
-    NodeId src = invalidNode;
+    /**
+     * Skip the in-switch Property Cache for this read (a header flag
+     * bit, no wire-size cost). Set on corruption refetches so a
+     * poisoned cache entry cannot satisfy them.
+     */
+    bool bypassCache : 1 = false;
+    /** The response was manufactured by a ToR Property Cache hit. */
+    bool servedByCache : 1 = false;
+    /**
+     * The span tracer records this PR. Decided at issue and kept
+     * through the in-place read->response rewrite at the server or
+     * the ToR cache, so response-path hops attribute to the same span.
+     */
+    bool traced : 1 = false;
+    /**
+     * Transmission attempt: 0 for the first send, k for the k-th
+     * retransmission. Keys the requester's lifecycle stamps, so they
+     * describe the attempt whose response was accepted.
+     */
+    std::uint8_t attempt = 0;
     /** RIG unit (thread) id within the source SNIC. */
     std::uint16_t srcTid = 0;
     /**
@@ -45,8 +73,8 @@ struct PropertyRequest
      * fair-queueing lanes and SLO accounting. 0 on single-job runs.
      */
     std::uint16_t tenant = 0;
-    /** Property index (the nonzero's cid). */
-    PropIdx idx = 0;
+    /** Node that issued the original read. */
+    NodeId src = invalidNode;
     /** Per-unit request identifier. */
     std::uint32_t reqId = 0;
     /**
@@ -56,44 +84,21 @@ struct PropertyRequest
     std::uint32_t propBytes = 0;
     /** Payload bytes: 0 for reads, K*4 for responses. */
     std::uint32_t payloadBytes = 0;
+    /** Property index (the nonzero's cid). */
+    PropIdx idx = 0;
     /** Deterministic checksum of the property data (responses). */
     std::uint64_t checksum = 0;
     /**
-     * Skip the in-switch Property Cache for this read (a header flag
-     * bit, no wire-size cost). Set on corruption refetches so a
-     * poisoned cache entry cannot satisfy them.
+     * Lifecycle stamp: the property was produced (ToR cache hit or
+     * remote fetch done). Unlike the other stamps it rides the
+     * response, because the home node's fetch runs on another shard
+     * than the requester's stamp board. Zero means "not stamped".
      */
-    bool bypassCache = false;
-
-    // --- PR latency lifecycle stamps (observability only) ---
-    // Simulation-side metadata like bypassCache: the stamps ride the
-    // struct with zero wire-size cost and are ignored by every
-    // component except the stampers below and the latency collector
-    // at the requesting client (net/pr_latency.hh). Zero means "not
-    // stamped" (e.g. the ToR stamp on a run without the NetSparse
-    // middle pipes). On a retransmitted PR the stamps describe the
-    // attempt whose response was accepted.
-    /** RIG client issued the read (RigClientUnit::sendReadPr). */
-    Tick issueTick = 0;
-    /** The read left the SNIC onto the NIC egress link. */
-    Tick egressTick = 0;
-    /** The read entered the requester's ToR middle pipe. */
-    Tick torIngressTick = 0;
-    /** The property was produced: ToR cache hit or remote fetch done. */
     Tick fetchTick = 0;
-    /** The response was manufactured by a ToR Property Cache hit. */
-    bool servedByCache = false;
-
-    /**
-     * Causal span id (sim/span.hh), assigned at issue time to PRs the
-     * span tracer records; 0 (the default) means "not traced". Like
-     * the lifecycle stamps it is simulation-side metadata with zero
-     * wire cost, and it survives the in-place read->response rewrite
-     * at the server or the ToR cache, so response-path hops attribute
-     * to the same span.
-     */
-    std::uint64_t spanId = 0;
 };
+static_assert(sizeof(PropertyRequest) <= 48,
+              "PropertyRequest is copied through every PR buffer; keep "
+              "it at 48 B");
 
 /** Header-size and MTU parameters (paper Table 5 defaults). */
 struct ProtocolParams
@@ -153,7 +158,7 @@ struct Packet
      */
     std::uint32_t rawBytes = 0;
     /**
-     * True when at least one PR inside carries a span id. Set at the
+     * True when at least one PR inside is traced. Set at the
      * concatenation point that built the packet; links and switches
      * test this single flag before scanning prs for span hops, so a
      * run with spans disabled pays one always-false branch per packet.

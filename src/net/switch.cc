@@ -1,5 +1,6 @@
 #include "net/switch.hh"
 
+#include "net/pr_latency.hh"
 #include "sim/logging.hh"
 #include "sim/span.hh"
 #include "sim/trace.hh"
@@ -88,8 +89,8 @@ Switch::receivePacket(Packet &&pkt, std::uint32_t in_port)
     if (pkt.spanned) {
         if (SpanBuffer *sb = eq_.spans())
             for (const auto &pr : pkt.prs)
-                if (pr.spanId != 0)
-                    sb->record(pr.spanId, SpanStage::SwitchPipe,
+                if (pr.traced)
+                    sb->record(sb->idOf(pr), SpanStage::SwitchPipe,
                                spanComp_, eq_.now(), delay, in_port);
     }
     NS_TRACE(tw.complete(
@@ -149,11 +150,14 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
     NS_TRACE(tw.instant(
         tw.track(name_), "deconcat", eq_.now(),
         traceArgs({{"prs", static_cast<double>(prs.size())}})));
+    StampBoard *board = eq_.stampBoard();
     for (auto &pr : prs) {
-        if (pr.type == PrType::Read && from_host) {
+        if (board && pr.type == PrType::Read && from_host) {
             // Lifecycle stamp: the read reached its requester's ToR
-            // middle pipe (net/pr_latency.hh).
-            pr.torIngressTick = eq_.now();
+            // middle pipe (net/pr_latency.hh). The shard map keeps a
+            // rack's hosts on its ToR's queue, so this is the board
+            // the read's entry was opened on.
+            board->stampTorIngress(pr, eq_.now());
         }
         if (pr.type == PrType::Read && from_host && !egress_host &&
             pr.bypassCache) {
@@ -161,9 +165,9 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
             // authoritative home-node copy, not a possibly-poisoned
             // cached one.
             ++cacheBypasses_;
-            if (pr.spanId != 0)
+            if (pr.traced)
                 if (SpanBuffer *sb = eq_.spans())
-                    sb->record(pr.spanId, SpanStage::CacheBypass,
+                    sb->record(sb->idOf(pr), SpanStage::CacheBypass,
                                spanComp_, eq_.now(), 0, pr.idx);
             NS_TRACE(tw.instant(
                 tw.track(name_), "cache.bypass", eq_.now(),
@@ -182,9 +186,9 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
                     ++servedByCacheTenant_[pr.tenant < cfg_.numTenants
                                                ? pr.tenant
                                                : cfg_.numTenants - 1];
-                if (pr.spanId != 0)
+                if (pr.traced)
                     if (SpanBuffer *sb = eq_.spans())
-                        sb->record(pr.spanId, SpanStage::CacheHit,
+                        sb->record(sb->idOf(pr), SpanStage::CacheHit,
                                    spanComp_, eq_.now(), 0, pr.idx);
                 NS_TRACE(tw.instant(
                     tw.track(name_), "cache.hit", eq_.now(),
@@ -194,9 +198,9 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
                 concat.push(std::move(pr), back);
                 continue;
             }
-            if (pr.spanId != 0)
+            if (pr.traced)
                 if (SpanBuffer *sb = eq_.spans())
-                    sb->record(pr.spanId, SpanStage::CacheMiss,
+                    sb->record(sb->idOf(pr), SpanStage::CacheMiss,
                                spanComp_, eq_.now(), 0, pr.idx);
             NS_TRACE(tw.instant(
                 tw.track(name_), "cache.miss", eq_.now(),
@@ -309,6 +313,15 @@ Switch::drainPort(std::uint32_t p)
         break;
     }
     scheduleDrain(p);
+}
+
+std::uint64_t
+Switch::concatHeldBytes() const
+{
+    std::uint64_t n = 0;
+    for (const auto &c : concats_)
+        n += c->heldBufferBytes();
+    return n;
 }
 
 std::uint64_t

@@ -158,6 +158,9 @@ class Switch : public PacketSink
      */
     void exportStats(StatRegistry &reg, const std::string &prefix) const;
 
+    /** Host memory held by the middle pipes' CQ buffers. */
+    std::uint64_t concatHeldBytes() const;
+
     /** Attached output links in port order (telemetry samplers). */
     const std::vector<Link *> &outLinks() const { return out_; }
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/pr_latency.hh"
 #include "runtime/shard_map.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
@@ -254,8 +255,7 @@ struct Fabric
  */
 void
 buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
-                const BackgroundTrafficConfig &bg,
-                const SpanParams *spans, bool telemetry_on)
+                const BackgroundTrafficConfig &bg, bool telemetry_on)
 {
     const ClusterConfig &cfg = f.cfg;
 
@@ -271,11 +271,6 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
     base.concat.enabled = cfg.features.concatNic;
     base.concat.delay = snic_clock.cycles(cfg.nicConcatDelayCycles);
     base.concat.virtualized = cfg.virtualizedCqs;
-    if (spans) {
-        base.rigUnit.spanSampleThreshold = spans->sampleThreshold();
-        base.rigUnit.spanRecordAll = spans->recordAll();
-        base.rigUnit.spanSeed = spans->seed;
-    }
     for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
         f.demuxes.push_back(std::make_unique<TenantDemux>());
         for (std::uint32_t t = 0; t < f.T; ++t) {
@@ -843,6 +838,15 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
                 static_cast<double>(mem.poolHits));
         reg.set("cluster.memory.arenaPoolMisses",
                 static_cast<double>(mem.poolMisses));
+        // The PR buffers the CQs still hold, which the arenas never
+        // see: most of a large run's resident memory.
+        std::uint64_t held = 0;
+        for (const auto &sn : f.snics)
+            held += sn->concatHeldBytes();
+        for (const auto &sw : f.switches)
+            held += sw->concatHeldBytes();
+        reg.set("cluster.memory.concatHeldBytes",
+                static_cast<double>(held));
     }
 }
 
@@ -912,9 +916,18 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     // branch in the dispatch loop) unless the sink is enabled.
     const bool telemetry_on =
         TelemetrySink::instance().enabled() && cfg_.telemetryInterval > 0;
+    // The lifecycle stamps (net/pr_latency.hh) are read by the latency
+    // collectors and the span retire records; like the span buffers,
+    // one board per shard, each written only by its own queue.
+    std::vector<std::unique_ptr<StampBoard>> boards;
+    if (telemetry_on || spans_on) {
+        for (auto &q : f.queues) {
+            boards.push_back(std::make_unique<StampBoard>());
+            q->setStampBoard(boards.back().get());
+        }
+    }
 
-    buildComponents(f, jobs, bg, spans_on ? &span_params : nullptr,
-                    telemetry_on);
+    buildComponents(f, jobs, bg, telemetry_on);
     std::vector<std::unique_ptr<TelemetryProbe>> probes;
     if (telemetry_on)
         probes = attachTelemetry(f);

@@ -52,6 +52,7 @@
 namespace netsparse {
 
 class SpanBuffer;
+class StampBoard;
 class TelemetryProbe;
 
 /**
@@ -194,6 +195,16 @@ class EventQueue
     /** The attached span recorder, or null when capture is off. */
     SpanBuffer *spans() const { return spans_; }
 
+    /**
+     * Attach this queue's PR lifecycle stamp board (net/pr_latency.hh),
+     * per queue like the span buffer. Components reach it through
+     * stampBoard(); null (the default) means nothing reads the stamps.
+     */
+    void setStampBoard(StampBoard *board) { stamps_ = board; }
+
+    /** The attached stamp board, or null when no one reads stamps. */
+    StampBoard *stampBoard() const { return stamps_; }
+
   private:
     /** Ticks per wheel bucket, as a shift: 4096 ps (~4 ns). */
     static constexpr unsigned bucketShift = 12;
@@ -283,6 +294,8 @@ class EventQueue
     TelemetryProbe *probe_ = nullptr;
     /** Attached span recorder (see setSpanBuffer); usually null. */
     SpanBuffer *spans_ = nullptr;
+    /** Attached stamp board (see setStampBoard); usually null. */
+    StampBoard *stamps_ = nullptr;
     /** Next sample boundary; maxTick keeps the hook branch dead. */
     Tick probeNext_ = maxTick;
 };

@@ -2,15 +2,17 @@
  * @file
  * Causal per-PR span tracing: the flight recorder behind --spans-out.
  *
- * A sampled Property Request carries an 8-byte span id (see
- * net/protocol.hh) assigned at issue time by a stateless splitmix64
- * draw over (seed, tenant, source node, RIG unit, reqId) - the same
- * idiom the fault injector uses - so whether a PR is traced is a pure
- * function of the request's identity, independent of shard count and
- * execution order. Every component a traced PR passes through appends
- * one SpanEvent (issue, NIC egress, per-hop wire occupancy, switch
- * pipe, Property-Cache outcome, remote fetch, retransmit, retire) to
- * its event queue's SpanBuffer; the scheduler merges the per-shard
+ * A PR's span id is a stateless splitmix64 draw over (seed, tenant,
+ * source node, RIG unit, reqId) - the same idiom the fault injector
+ * uses - so whether a PR is traced is a pure function of the request's
+ * identity, independent of shard count and execution order. The PR
+ * carries only a `traced` bit (net/protocol.hh), set at issue; every
+ * shard's buffer holds the same seed and recomputes the id from the
+ * PR's identity wherever it records an event (SpanBuffer::idOf).
+ * Every component a traced PR passes through appends one SpanEvent
+ * (issue, NIC egress, per-hop wire occupancy, switch pipe,
+ * Property-Cache outcome, remote fetch, retransmit, retire) to its
+ * event queue's SpanBuffer; the scheduler merges the per-shard
  * buffers after the run into span trees that are byte-identical at
  * any shard count.
  *
@@ -129,7 +131,7 @@ struct SpanParams
  * The deterministic span id of one issued PR. A pure function of the
  * request's identity, so every shard layout computes the same id and
  * the 1/N sampling decision (id <= threshold) is shard-invariant.
- * Never returns 0 (0 on a PR means "not traced").
+ * Never returns 0.
  */
 inline std::uint64_t
 spanIdFor(std::uint64_t seed, std::uint16_t tenant, NodeId src,
@@ -167,7 +169,25 @@ struct SpanRetire
 class SpanBuffer
 {
   public:
-    explicit SpanBuffer(const SpanParams &params) : params_(params) {}
+    explicit SpanBuffer(const SpanParams &params)
+        : params_(params),
+          threshold_(params.recordAll() ? ~0ull : params.sampleThreshold())
+    {}
+
+    /**
+     * The span id of @p pr (a PropertyRequest, net/protocol.hh): a
+     * retransmit and the response share the original read's id.
+     */
+    template <typename Pr>
+    std::uint64_t
+    idOf(const Pr &pr) const
+    {
+        return spanIdFor(params_.seed, pr.tenant, pr.src, pr.srcTid,
+                         pr.reqId);
+    }
+
+    /** Issue-time decision: record the PR whose span id is @p id? */
+    bool traces(std::uint64_t id) const { return id <= threshold_; }
 
     /** Append one event to span @p spanId. */
     void
@@ -208,6 +228,9 @@ class SpanBuffer
     void maybePrune(std::uint64_t spanId);
 
     SpanParams params_;
+    /** Trace ids up to this: all in tail modes, else 1 in sampleEvery
+     *  (0 when neither, and no id is 0). */
+    std::uint64_t threshold_;
     /** Events by span id: local stages of own spans plus hop events of
      *  spans issued on other shards (never retired here). */
     std::unordered_map<std::uint64_t, std::vector<SpanEvent>> open_;

@@ -14,7 +14,11 @@ RigClientUnit::RigClientUnit(EventQueue &eq, const RigUnitConfig &cfg,
                              SnicContext &ctx, std::uint16_t tid)
     : eq_(eq), cfg_(cfg), ctx_(ctx), tid_(tid), clock_(cfg.clockHz),
       pending_(cfg.pendingCapacity)
-{}
+{
+    ns_assert(cfg_.retry.maxRetries <= 0xFF, "maxRetries ",
+              cfg_.retry.maxRetries,
+              " exceeds the 8-bit PropertyRequest::attempt");
+}
 
 std::uint32_t
 RigClientUnit::traceTrack() const
@@ -245,6 +249,11 @@ RigClientUnit::onResponse(const PropertyRequest &pr)
         attempts = it->second.attempts;
         inflight_.erase(it);
     }
+    // The stamps describe the accepted attempt; the reqId's other
+    // attempts will never be accepted, so they leave the board too.
+    PrStamps stamps;
+    if (StampBoard *board = eq_.stampBoard())
+        stamps = board->accept(pr, attempts);
 
     std::uint32_t served = pending_.complete(pr.idx);
     if (served == 0) {
@@ -255,12 +264,12 @@ RigClientUnit::onResponse(const PropertyRequest &pr)
     }
     ++stats_.responses;
     if (PrLatencyStats *lat = ctx_.prLatency())
-        lat->record(pr, eq_.now());
-    if (pr.spanId != 0) {
+        lat->record(stamps, pr, eq_.now());
+    if (pr.traced) {
         if (SpanBuffer *sb = eq_.spans()) {
-            sb->record(pr.spanId, SpanStage::Retire, ctx_.spanComp(),
-                       eq_.now());
-            sb->retire(SpanRetire{pr.spanId, pr.issueTick, eq_.now(),
+            std::uint64_t id = sb->idOf(pr);
+            sb->record(id, SpanStage::Retire, ctx_.spanComp(), eq_.now());
+            sb->retire(SpanRetire{id, stamps.issueTick, eq_.now(),
                                   pr.tenant, pr.src, pr.srcTid, pr.reqId,
                                   pr.servedByCache, attempts});
         }
@@ -304,21 +313,20 @@ RigClientUnit::sendReadPr(std::uint32_t reqId, PropIdx idx, NodeId dest,
     pr.propBytes = cmd_.propBytes;
     pr.payloadBytes = 0;
     pr.bypassCache = bypassCache;
-    pr.issueTick = eq_.now();
-    if (cfg_.spanRecordAll || cfg_.spanSampleThreshold != 0) {
+    pr.attempt = static_cast<std::uint8_t>(attempt);
+    if (StampBoard *board = eq_.stampBoard())
+        board->issue(pr, eq_.now());
+    if (SpanBuffer *sb = eq_.spans()) {
         // The id is a pure function of the PR's identity, so the same
         // request computes the same id (and sampling decision) on every
         // shard layout - and a retransmit reuses its original span.
-        std::uint64_t id =
-            spanIdFor(cfg_.spanSeed, pr.tenant, pr.src, tid_, reqId);
-        if (cfg_.spanRecordAll || id <= cfg_.spanSampleThreshold) {
-            pr.spanId = id;
-            if (SpanBuffer *sb = eq_.spans())
-                sb->record(id,
-                           attempt ? SpanStage::Retransmit
-                                   : SpanStage::Issue,
-                           ctx_.spanComp(), eq_.now(), 0,
-                           attempt ? attempt : idx);
+        std::uint64_t id = sb->idOf(pr);
+        if (sb->traces(id)) {
+            pr.traced = true;
+            sb->record(id,
+                       attempt ? SpanStage::Retransmit : SpanStage::Issue,
+                       ctx_.spanComp(), eq_.now(), 0,
+                       attempt ? attempt : idx);
         }
     }
     ctx_.sendPr(std::move(pr), dest);
@@ -411,8 +419,11 @@ RigClientUnit::finish(bool success)
     inflight_.clear();
     retryTimerAt_ = 0;
     ++retryTimerGen_;
-    if (!success)
+    if (!success) {
         pending_.reset();
+        if (StampBoard *board = eq_.stampBoard())
+            board->dropClient(ctx_.tenant(), ctx_.selfNode(), tid_);
+    }
     auto cb = std::move(cmd_.onComplete);
     // Completion reaches the host after the last property write lands
     // plus one PCIe crossing for the notification.
@@ -443,9 +454,9 @@ RigServerUnit::prepareRead(PropertyRequest &pr)
     pr.payloadBytes = pr.propBytes;
     pr.checksum = propertyChecksum(pr.idx, pr.tenant);
     pr.fetchTick = fetched;
-    if (pr.spanId != 0)
+    if (pr.traced)
         if (SpanBuffer *sb = eq_.spans())
-            sb->record(pr.spanId, SpanStage::Fetch, ctx_.spanComp(),
+            sb->record(sb->idOf(pr), SpanStage::Fetch, ctx_.spanComp(),
                        issue, fetched - issue, pr.propBytes);
     return fetched;
 }

@@ -58,7 +58,10 @@ struct RetryPolicy
     Tick timeout = 100 * ticks::us;
     /** Timeout multiplier per successive attempt. */
     double backoff = 2.0;
-    /** Retransmissions allowed per PR before the command fails. */
+    /**
+     * Retransmissions allowed per PR before the command fails; at most
+     * 255, the range of PropertyRequest::attempt.
+     */
     std::uint32_t maxRetries = 6;
 };
 
@@ -87,15 +90,6 @@ struct RigUnitConfig
     Tick watchdogTimeout = 0;
     /** Reliable-PR retransmission layer (see RetryPolicy). */
     RetryPolicy retry;
-
-    // --- Span tracing (sim/span.hh); all-zero means capture is off and
-    // --- sendReadPr pays a single always-false test per issued PR.
-    /** Keep-if-below sampling threshold (SpanParams::sampleThreshold). */
-    std::uint64_t spanSampleThreshold = 0;
-    /** Assign a span id to every PR (tail-exemplar capture modes). */
-    bool spanRecordAll = false;
-    /** Sampling-hash seed (SpanParams::seed). */
-    std::uint64_t spanSeed = 0;
 };
 
 /** One Remote Indexed Gather command (the IBV_WR_RIG work request). */
@@ -156,7 +150,7 @@ class SnicContext
     virtual PrLatencyStats *prLatency() { return nullptr; }
 
     /** This SNIC's component id in the run's span name table
-     *  (sim/span.hh); only consulted for PRs that carry a span id. */
+     *  (sim/span.hh); only consulted for traced PRs. */
     virtual std::uint32_t spanComp() const { return 0; }
 };
 

@@ -26,17 +26,18 @@ Snic::Snic(EventQueue &eq, SnicConfig cfg, NodeId self,
         eq_, cfg_.concat,
         [this](Packet &&pkt) {
             ns_assert(egress_, "SNIC ", name_, " has no egress link");
-            if (prLatency_ && pkt.type == PrType::Read) {
+            StampBoard *board = eq_.stampBoard();
+            if (board && pkt.type == PrType::Read) {
                 // Lifecycle stamp: the reads leave the SNIC onto the
                 // NIC egress link (net/pr_latency.hh).
-                for (auto &pr : pkt.prs)
-                    pr.egressTick = eq_.now();
+                for (const auto &pr : pkt.prs)
+                    board->stampEgress(pr, eq_.now());
             }
             if (pkt.spanned) {
                 if (SpanBuffer *sb = eq_.spans()) {
                     for (const auto &pr : pkt.prs)
-                        if (pr.spanId != 0)
-                            sb->record(pr.spanId, SpanStage::NicEgress,
+                        if (pr.traced)
+                            sb->record(sb->idOf(pr), SpanStage::NicEgress,
                                        spanComp_, eq_.now(), 0,
                                        pkt.prs.size());
                 }

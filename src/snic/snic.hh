@@ -134,9 +134,10 @@ class Snic : public PacketSink, public SnicContext
 
     /**
      * Allocate the PR latency collector: the clients start recording
-     * lifecycle stamps and the egress path starts stamping them. Left
-     * off (null) unless telemetry is enabled, so the default fast path
-     * and stats document are untouched.
+     * the lifecycle stamps of accepted responses (the stamp board that
+     * holds them is the event queue's, net/pr_latency.hh). Left off
+     * (null) unless telemetry is enabled, so the default fast path and
+     * stats document are untouched.
      */
     void enablePrLatency();
 
@@ -163,6 +164,13 @@ class Snic : public PacketSink, public SnicContext
     std::uint64_t totalRetransmits() const;
 
     const std::string &name() const { return name_; }
+
+    /** Host memory held by the NIC concatenator's CQ buffers. */
+    std::uint64_t
+    concatHeldBytes() const
+    {
+        return concat_->heldBufferBytes();
+    }
 
     /**
      * The event queue this SNIC schedules on. Under the parallel

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "analysis/comm_pattern.hh"
+#include "analysis/json_lite.hh"
 #include "runtime/cluster.hh"
 #include "sim/stats_export.hh"
 #include "sparse/generators.hh"
@@ -326,4 +327,36 @@ TEST(Gather, MemoryStatsAreGated)
               std::string::npos);
     EXPECT_NE(on.find("cluster.memory.arenaPoolHits"),
               std::string::npos);
+}
+
+/** cluster.memory.concatHeldBytes counts the PR buffers the SNIC and
+ *  switch-pipe CQs hold, which the arena keys never see. Gated like
+ *  them; this run spans 4 racks, so both kinds of CQ carry PRs. */
+TEST(Gather, MemoryStatsCountHeldPrBuffers)
+{
+    Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
+    const std::uint32_t nodes = 16;
+    Partition1D part = Partition1D::equalRows(m.rows, nodes);
+    auto run_to_json = [&](bool memory_stats) {
+        ClusterConfig cfg = smallCluster(nodes);
+        cfg.memoryStats = memory_stats;
+        StatsExport collector;
+        collector.setCollect(true);
+        StatsExport::Bind bind(collector);
+        ClusterSim(cfg).runGather(m, part, 16);
+        return collector.toJson();
+    };
+
+    EXPECT_EQ(run_to_json(false).find("concatHeldBytes"),
+              std::string::npos);
+    jsonlite::Value doc = jsonlite::parse(run_to_json(true));
+    double held = doc.at("runs")
+                      .at(0)
+                      .at("stats")
+                      .at("cluster.memory.concatHeldBytes")
+                      .at("value")
+                      .number;
+    EXPECT_GT(held, 0.0);
+    EXPECT_EQ(static_cast<std::uint64_t>(held) % sizeof(PropertyRequest),
+              0u);
 }

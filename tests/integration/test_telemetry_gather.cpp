@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "analysis/json_lite.hh"
 #include "runtime/cluster.hh"
+#include "sim/span.hh"
 #include "sim/stats_export.hh"
 #include "sim/telemetry.hh"
 #include "sparse/generators.hh"
@@ -55,6 +58,30 @@ runCaptured(ClusterConfig cfg, const Csr &m, const Partition1D &part,
     out.result = ClusterSim(cfg).runGather(m, part, 16);
     out.statsJson = stats.toJson();
     out.telemetryJson = sink.toJson();
+    return out;
+}
+
+/** 64-bit FNV-1a: pins a whole document in one constant. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** The stats document's cluster.prLatency.* lines, in document order. */
+std::string
+prLatencyLines(const std::string &statsJson)
+{
+    std::istringstream in(statsJson);
+    std::string line, out;
+    while (std::getline(in, line))
+        if (line.rfind("  \"cluster.prLatency.", 0) == 0)
+            out += line + "\n";
     return out;
 }
 
@@ -155,4 +182,56 @@ TEST(TelemetryGather, StatsDocumentGainsPrLatencyOnlyWhenEnabled)
     EXPECT_GT(responses, 0.0);
     EXPECT_EQ(st.at("cluster.prLatency.totalNs").at("total").number,
               responses);
+}
+
+/**
+ * On a retransmitted PR the lifecycle stamps describe the attempt whose
+ * response was accepted. Degraded links slow packets without losing
+ * them, so a read can time out, be re-sent, and still have its first
+ * attempt answer first; the re-send's answer is then suppressed as a
+ * duplicate. The latency decomposition and the 1/1 span document of
+ * that run are pinned, at 1 and 2 shards.
+ */
+TEST(TelemetryGather, LatencyStampsFollowTheAcceptedAttempt)
+{
+    Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.01);
+    Partition1D part = Partition1D::equalRows(m.rows, 32);
+
+    for (std::uint32_t shards : {1u, 2u}) {
+        ClusterConfig cfg = defaultClusterConfig(32); // 2 racks of 16
+        cfg.simShards = shards;
+        cfg.faults =
+            FaultConfig::parse("degrade:0.05,degradeUs:200,"
+                               "degradeFactor:0.02");
+        cfg.spans.sampleEvery = 1;
+
+        StatsExport stats;
+        stats.setCollect(true);
+        StatsExport::Bind statsBind(stats);
+        TelemetrySink sink;
+        sink.setCollect(true);
+        TelemetrySink::Bind telemetryBind(sink);
+        SpanSink spanSink;
+        spanSink.setCollect(true);
+        SpanSink::Bind spanBind(spanSink);
+        GatherRunResult r = ClusterSim(cfg).runGather(m, part, 16);
+        EXPECT_EQ(r.simShards, shards);
+
+        const std::string json = stats.toJson();
+        jsonlite::Value doc = jsonlite::parse(json);
+        const jsonlite::Value &st = doc.at("runs").at(0).at("stats");
+        auto value = [&](const char *key) {
+            return st.at(key).at("value").number;
+        };
+        EXPECT_GT(value("cluster.recovery.duplicatesSuppressed"), 0.0);
+        EXPECT_EQ(value("cluster.recovery.permanentFailures"), 0.0);
+        // Recorded when the stamps rode the PR itself, so a board that
+        // keys or drops attempts differently changes them.
+        EXPECT_EQ(value("cluster.prLatency.responses"), 20196.0);
+        EXPECT_EQ(value("cluster.prLatency.cacheServed"), 637.0);
+        EXPECT_EQ(fnv1a(prLatencyLines(json)), 0x5543413fe31e6e1full)
+            << shards << " shards";
+        EXPECT_EQ(fnv1a(spanSink.toJson()), 0x81bb01d6c43016cbull)
+            << shards << " shards";
+    }
 }
