@@ -38,34 +38,51 @@ namespace netsparse::bench {
  * variables NETSPARSE_TRACE_OUT / NETSPARSE_STATS_JSON /
  * NETSPARSE_TELEMETRY_OUT / NETSPARSE_SPANS_OUT are honored as
  * fallbacks so CI can collect artifacts without touching command
- * lines. Outputs are finalized at process exit. See
- * docs/observability.md for the schemas.
+ * lines. An unwritable path exits 1 up front, naming the flag or the
+ * variable that supplied it, like netsparse_sim. Outputs are finalized
+ * at process exit. See docs/observability.md for the schemas.
  */
 inline void
 initObservability(int argc, char **argv)
 {
-    const char *trace = std::getenv("NETSPARSE_TRACE_OUT");
-    const char *stats = std::getenv("NETSPARSE_STATS_JSON");
-    const char *telemetry = std::getenv("NETSPARSE_TELEMETRY_OUT");
-    const char *spans = std::getenv("NETSPARSE_SPANS_OUT");
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--trace-out")
-            trace = argv[i + 1];
-        else if (std::string(argv[i]) == "--stats-json")
-            stats = argv[i + 1];
-        else if (std::string(argv[i]) == "--telemetry-out")
-            telemetry = argv[i + 1];
-        else if (std::string(argv[i]) == "--spans-out")
-            spans = argv[i + 1];
+    struct Output
+    {
+        const char *flag, *env;
+        bool (*open)(const std::string &path);
+    };
+    const Output outputs[] = {
+        {"--trace-out", "NETSPARSE_TRACE_OUT",
+         [](const std::string &p) {
+             return TraceWriter::instance().open(p);
+         }},
+        {"--stats-json", "NETSPARSE_STATS_JSON",
+         [](const std::string &p) {
+             return StatsExport::instance().setOutputPath(p);
+         }},
+        {"--telemetry-out", "NETSPARSE_TELEMETRY_OUT",
+         [](const std::string &p) {
+             return TelemetrySink::instance().setOutputPath(p);
+         }},
+        {"--spans-out", "NETSPARSE_SPANS_OUT",
+         [](const std::string &p) {
+             return SpanSink::instance().setOutputPath(p);
+         }},
+    };
+    for (const Output &o : outputs) {
+        const char *source = o.env;
+        const char *path = std::getenv(o.env);
+        for (int i = 1; i + 1 < argc; ++i) {
+            if (std::string(argv[i]) == o.flag) {
+                source = o.flag;
+                path = argv[i + 1];
+            }
+        }
+        if (path && *path && !o.open(path)) {
+            std::fprintf(stderr, "cannot open %s output %s\n", source,
+                         path);
+            std::exit(1);
+        }
     }
-    if (trace && *trace)
-        TraceWriter::instance().open(trace);
-    if (stats && *stats)
-        StatsExport::instance().setOutputPath(stats);
-    if (telemetry && *telemetry)
-        TelemetrySink::instance().setOutputPath(telemetry);
-    if (spans && *spans)
-        SpanSink::instance().setOutputPath(spans);
 }
 
 /** Scale factor for benchmark matrices (env NETSPARSE_BENCH_SCALE). */

@@ -456,42 +456,40 @@ main(int argc, char **argv)
     }
 
     // Multi-tenant runs (several jobs, or one job sharing the fabric
-    // with background traffic) go through the scheduler; its stats
-    // document is the cluster.tenant<t>.* schema, so the flat --stats
-    // dump of legacy cluster keys does not apply.
-    if (num_jobs > 1 || bg.enabled()) {
-        if (dump_stats) {
-            std::fprintf(stderr,
-                         "--stats dumps the single-job document; use "
-                         "--stats-json with --jobs/--background\n");
-            return 2;
-        }
-        auto make_work = [&]() {
-            if (!stream)
-                return GatherWorkload::slice(m, part);
-            PartitionedMatrix pm =
-                buildPartitionedBenchmark(named_kind, scale, nodes);
-            GatherWorkload w;
-            w.numIdxs = pm.cols;
-            w.part = pm.part;
-            w.streams = pm.takeStreams();
-            return w;
-        };
-        std::vector<JobSpec> specs(num_jobs);
-        for (std::uint32_t j = 0; j < num_jobs; ++j) {
-            specs[j].work = stream && j == 0 ? std::move(work)
-                                             : make_work();
-            specs[j].k = k;
-            specs[j].name = "job" + std::to_string(j);
-        }
-        JobScheduler sched(cfg);
-        MultiJobResult mr = sched.run(std::move(specs), bg);
+    // with background traffic) export the cluster.tenant<t>.* schema,
+    // so the flat --stats dump of legacy cluster keys does not apply.
+    const bool multi = num_jobs > 1 || bg.enabled();
+    if (multi && dump_stats) {
+        std::fprintf(stderr,
+                     "--stats dumps the single-job document; use "
+                     "--stats-json with --jobs/--background\n");
+        return 2;
+    }
+    auto make_work = [&]() {
+        if (!stream)
+            return GatherWorkload::slice(m, part);
+        PartitionedMatrix pm =
+            buildPartitionedBenchmark(named_kind, scale, nodes);
+        GatherWorkload w;
+        w.numIdxs = pm.cols;
+        w.part = pm.part;
+        w.streams = pm.takeStreams();
+        return w;
+    };
+    std::vector<JobSpec> specs(num_jobs);
+    for (std::uint32_t j = 0; j < num_jobs; ++j) {
+        specs[j].work = stream && j == 0 ? std::move(work) : make_work();
+        specs[j].k = k;
+        specs[j].name = "job" + std::to_string(j);
+    }
+    MultiJobResult mr = JobScheduler(cfg).run(std::move(specs), bg);
 
-        TraceWriter::instance().close();
-        StatsExport::instance().writeFile();
-        TelemetrySink::instance().writeFile();
-        SpanSink::instance().writeFile();
+    TraceWriter::instance().close();
+    StatsExport::instance().writeFile();
+    TelemetrySink::instance().writeFile();
+    SpanSink::instance().writeFile();
 
+    if (multi) {
         std::printf("\nmakespan           : %10.2f us  (%u jobs, %s "
                     "queues, %s cache)\n",
                     ticks::toNs(mr.makespanTicks) / 1e3, num_jobs,
@@ -521,15 +519,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    ClusterSim sim(cfg);
-    GatherRunResult r = stream ? sim.runGather(std::move(work), k)
-                               : sim.runGather(m, part, k);
-
-    TraceWriter::instance().close();
-    StatsExport::instance().writeFile();
-    TelemetrySink::instance().writeFile();
-    SpanSink::instance().writeFile();
-
+    const GatherRunResult &r = mr.jobs[0];
     if (dump_stats) {
         StatRegistry reg;
         r.exportStats(reg);

@@ -156,7 +156,7 @@ Concatenator::arm(std::size_t idx)
 }
 
 void
-Concatenator::flush(Cq &cq, [[maybe_unused]] const char *reason)
+Concatenator::flush(Cq &cq, const char *reason)
 {
     ++cq.generation; // clears any outstanding EQ entry
     cq.armed = false;
@@ -189,7 +189,7 @@ Concatenator::flush(Cq &cq, [[maybe_unused]] const char *reason)
     prsPerPacket_.sample(static_cast<double>(pkt.prs.size()));
     ++packetsEmitted_;
 
-    NS_TRACE(tw.instant(
+    NS_TRACE(eq_, tw.instant(
         tw.track(name_), reason, eq_.now(),
         traceArgs({{"prs", static_cast<double>(pkt.prs.size())},
                    {"bytes", static_cast<double>(cq.bytes)},

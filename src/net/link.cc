@@ -31,8 +31,8 @@ Link::send(Packet &&pkt)
         // serialization: no wire time is burned.
         ++dropped_;
         droppedBytes_ += wire;
-        NS_TRACE(tw.instant(tw.track(name_), "fault.linkDown",
-                            eq_.now()));
+        NS_TRACE(eq_, tw.instant(tw.track(name_), "fault.linkDown",
+                                 eq_.now()));
         return;
     }
 
@@ -44,7 +44,7 @@ Link::send(Packet &&pkt)
     busyUntil_ = start + ser;
     busyTicks_ += ser;
 
-    NS_TRACE(tw.complete(
+    NS_TRACE(eq_, tw.complete(
         tw.track(name_), "tx", start, busyUntil_,
         traceArgs({{"bytes", static_cast<double>(wire)},
                    {"prs", static_cast<double>(pkt.prs.size())},
@@ -69,12 +69,12 @@ Link::send(Packet &&pkt)
         // drop statistics - not in the sent packet/byte/payload totals.
         ++dropped_;
         droppedBytes_ += wire;
-        NS_TRACE(tw.instant(tw.track(name_), "drop", busyUntil_));
+        NS_TRACE(eq_, tw.instant(tw.track(name_), "drop", busyUntil_));
         return;
     }
     if (verdict.corrupted)
-        NS_TRACE(tw.instant(tw.track(name_), "fault.corrupt",
-                            busyUntil_));
+        NS_TRACE(eq_, tw.instant(tw.track(name_), "fault.corrupt",
+                                 busyUntil_));
 
     ++packets_;
     bytes_ += wire;

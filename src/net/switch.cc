@@ -93,7 +93,7 @@ Switch::receivePacket(Packet &&pkt, std::uint32_t in_port)
                     sb->record(sb->idOf(pr), SpanStage::SwitchPipe,
                                spanComp_, eq_.now(), delay, in_port);
     }
-    NS_TRACE(tw.complete(
+    NS_TRACE(eq_, tw.complete(
         tw.track(name_), "pipe", eq_.now(), eq_.now() + delay,
         traceArgs({{"prs", static_cast<double>(pkt.prs.size())},
                    {"inPort", static_cast<double>(in_port)}})));
@@ -147,7 +147,7 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
 
     NodeId pkt_dest = pkt.dest;
     std::vector<PropertyRequest> prs = deconcatenate(std::move(pkt));
-    NS_TRACE(tw.instant(
+    NS_TRACE(eq_, tw.instant(
         tw.track(name_), "deconcat", eq_.now(),
         traceArgs({{"prs", static_cast<double>(prs.size())}})));
     StampBoard *board = eq_.stampBoard();
@@ -169,7 +169,7 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
                 if (SpanBuffer *sb = eq_.spans())
                     sb->record(sb->idOf(pr), SpanStage::CacheBypass,
                                spanComp_, eq_.now(), 0, pr.idx);
-            NS_TRACE(tw.instant(
+            NS_TRACE(eq_, tw.instant(
                 tw.track(name_), "cache.bypass", eq_.now(),
                 traceArgs({{"idx", static_cast<double>(pr.idx)}})));
         } else if (pr.type == PrType::Read && from_host && !egress_host) {
@@ -190,7 +190,7 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
                     if (SpanBuffer *sb = eq_.spans())
                         sb->record(sb->idOf(pr), SpanStage::CacheHit,
                                    spanComp_, eq_.now(), 0, pr.idx);
-                NS_TRACE(tw.instant(
+                NS_TRACE(eq_, tw.instant(
                     tw.track(name_), "cache.hit", eq_.now(),
                     traceArgs(
                         {{"idx", static_cast<double>(pr.idx)}})));
@@ -202,7 +202,7 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
                 if (SpanBuffer *sb = eq_.spans())
                     sb->record(sb->idOf(pr), SpanStage::CacheMiss,
                                spanComp_, eq_.now(), 0, pr.idx);
-            NS_TRACE(tw.instant(
+            NS_TRACE(eq_, tw.instant(
                 tw.track(name_), "cache.miss", eq_.now(),
                 traceArgs({{"idx", static_cast<double>(pr.idx)}})));
         } else if (pr.type == PrType::Response && !from_host &&
@@ -212,26 +212,21 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
             // still forwarded: the requesting RIG unit detects the bad
             // checksum and NACK-refetches.
             ++poisonRejected_;
-            NS_TRACE(tw.instant(
+            NS_TRACE(eq_, tw.instant(
                 tw.track(name_), "cache.poisonRejected", eq_.now(),
                 traceArgs({{"idx", static_cast<double>(pr.idx)}})));
         } else if (pr.type == PrType::Response && !from_host &&
                    egress_host) {
             // A response entering the rack: remember it for neighbors.
             PropertyCache &cache = cacheFor(pr, pipe);
-            [[maybe_unused]] std::uint64_t evictionsBefore =
-                cache.evictions();
-            [[maybe_unused]] bool written =
-                cache.insert(cacheKey(pr), pr.checksum);
-            NS_TRACE(
-                if (written) tw.instant(
-                    tw.track(name_),
-                    cache.evictions() > evictionsBefore
-                        ? "cache.evict"
-                        : "cache.insert",
-                    eq_.now(),
-                    traceArgs({{"idx",
-                                static_cast<double>(pr.idx)}})));
+            std::uint64_t evictionsBefore = cache.evictions();
+            bool written = cache.insert(cacheKey(pr), pr.checksum);
+            NS_TRACE(eq_, if (written) tw.instant(
+                tw.track(name_),
+                cache.evictions() > evictionsBefore ? "cache.evict"
+                                                    : "cache.insert",
+                eq_.now(),
+                traceArgs({{"idx", static_cast<double>(pr.idx)}})));
         }
         concat.push(std::move(pr), pkt_dest);
     }

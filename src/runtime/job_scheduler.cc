@@ -598,36 +598,28 @@ mergeTelemetry(const Fabric &f,
 ShardEngine::Result
 runFabric(Fabric &f)
 {
-    ShardEngine::Result res;
-    if (f.numShards() == 1) {
-        EventQueue &eq = *f.queues[0];
-        eq.runUntil(f.cfg.maxSimTime);
-        res.finalTick = eq.now();
-        res.executedEvents = eq.executedEvents();
-    } else {
-        std::vector<ShardEngine::Shard> shards(f.numShards());
-        for (std::uint32_t d = 0; d < f.numShards(); ++d) {
-            shards[d].eq = f.queues[d].get();
-            // Drain inbound mailboxes in fixed source order; the banded
-            // delivery keys then restore the canonical event order
-            // inside the destination queue.
-            shards[d].drainInbox = [&f, d] {
-                EventQueue &dst = *f.queues[d];
-                for (auto &row : f.mailboxes) {
-                    row[d].box.drain([&dst](PendingDelivery &&rec) {
-                        dst.scheduleDelivery(
-                            rec.when, rec.key,
-                            [sink = rec.sink, port = rec.port,
-                             p = std::move(rec.pkt)]() mutable {
-                                sink->receivePacket(std::move(p), port);
-                            });
-                    });
-                }
-            };
-        }
-        res = ShardEngine::run(std::move(shards), f.lookahead,
-                               f.cfg.maxSimTime);
+    std::vector<ShardEngine::Shard> shards(f.numShards());
+    for (std::uint32_t d = 0; d < f.numShards(); ++d) {
+        shards[d].eq = f.queues[d].get();
+        // Drain inbound mailboxes in fixed source order; the banded
+        // delivery keys then restore the canonical event order inside
+        // the destination queue.
+        shards[d].drainInbox = [&f, d] {
+            EventQueue &dst = *f.queues[d];
+            for (auto &row : f.mailboxes) {
+                row[d].box.drain([&dst](PendingDelivery &&rec) {
+                    dst.scheduleDelivery(
+                        rec.when, rec.key,
+                        [sink = rec.sink, port = rec.port,
+                         p = std::move(rec.pkt)]() mutable {
+                            sink->receivePacket(std::move(p), port);
+                        });
+                });
+            }
+        };
     }
+    const ShardEngine::Result res = ShardEngine::run(
+        std::move(shards), f.lookahead, f.cfg.maxSimTime);
     auto finished = [](const auto &h) { return h->done(); };
     auto stuck = std::find_if_not(f.hosts.begin(), f.hosts.end(), finished);
     if (stuck != f.hosts.end()) {
@@ -926,6 +918,23 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
             q->setStampBoard(boards.back().get());
         }
     }
+    // The event trace (sim/trace.hh): the calling thread's writer
+    // captures a one-shard run. Track ids cannot be merged across
+    // writers, so a sharded run gives each queue its own writer at
+    // "dir/run.shard<s>.json"; their destructors write the files even
+    // when the run ends in an exception.
+    TraceWriter &trace = TraceWriter::instance();
+    std::vector<std::unique_ptr<TraceWriter>> shard_traces;
+    for (std::uint32_t s = 0; trace.enabled() && s < f.numShards(); ++s) {
+        TraceWriter *w = &trace;
+        if (f.numShards() > 1) {
+            shard_traces.push_back(std::make_unique<TraceWriter>());
+            w = shard_traces.back().get();
+            w->open(TraceWriter::derivedPath(trace.path(),
+                                             "shard" + std::to_string(s)));
+        }
+        f.queues[s]->setTrace(w);
+    }
 
     buildComponents(f, jobs, bg, telemetry_on);
     std::vector<std::unique_ptr<TelemetryProbe>> probes;
@@ -951,8 +960,8 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         buildSpanRun(srun, bufs);
         // Also render the kept spans as Perfetto async spans when a
         // trace is being captured alongside.
-        if (NS_TRACE_ON())
-            exportSpansToTrace(TraceWriter::instance(), srun);
+        if (trace.enabled())
+            exportSpansToTrace(trace, srun);
     }
     if (telemetry_on)
         mergeTelemetry(f, probes, res.finalTick);

@@ -124,6 +124,12 @@ EventQueue::nextEventTick() const
     return far_.front().when;
 }
 
+void
+EventQueue::setTrace(TraceWriter *trace)
+{
+    trace_ = trace && trace->enabled() ? trace : nullptr;
+}
+
 bool
 EventQueue::step()
 {
@@ -144,8 +150,8 @@ EventQueue::step()
     --size_;
     ++executed_;
     if (executed_ % traceSampleInterval == 0) {
-        NS_TRACE(tw.counter(tw.track("sim.eq"), "pendingEvents", now_,
-                            static_cast<double>(size_)));
+        NS_TRACE(*this, tw.counter(tw.track("sim.eq"), "pendingEvents",
+                                   now_, static_cast<double>(size_)));
     }
     EventPool::Slot &s = pool_.slot(r.slot);
     s.fn(s.buf, detail::EventOp::Run);

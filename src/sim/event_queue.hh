@@ -54,6 +54,7 @@ namespace netsparse {
 class SpanBuffer;
 class StampBoard;
 class TelemetryProbe;
+class TraceWriter;
 
 /**
  * A two-level scheduler of timestamped callbacks with FIFO tie-breaking.
@@ -205,6 +206,16 @@ class EventQueue
     /** The attached stamp board, or null when no one reads stamps. */
     StampBoard *stampBoard() const { return stamps_; }
 
+    /**
+     * Attach this queue's event-trace writer (sim/trace.hh), per queue
+     * like the span buffer. Components reach it through trace(), which
+     * NS_TRACE tests; a writer that is not capturing attaches as null.
+     */
+    void setTrace(TraceWriter *trace);
+
+    /** The attached capturing trace writer, or null. */
+    TraceWriter *trace() const { return trace_; }
+
   private:
     /** Ticks per wheel bucket, as a shift: 4096 ps (~4 ns). */
     static constexpr unsigned bucketShift = 12;
@@ -296,6 +307,8 @@ class EventQueue
     SpanBuffer *spans_ = nullptr;
     /** Attached stamp board (see setStampBoard); usually null. */
     StampBoard *stamps_ = nullptr;
+    /** Attached trace writer (see setTrace); usually null. */
+    TraceWriter *trace_ = nullptr;
     /** Next sample boundary; maxTick keeps the hook branch dead. */
     Tick probeNext_ = maxTick;
 };

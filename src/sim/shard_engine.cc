@@ -5,13 +5,10 @@
 #include <barrier>
 #include <cstddef>
 #include <exception>
-#include <memory>
-#include <string>
 #include <thread>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace netsparse {
 
@@ -61,22 +58,7 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
     std::atomic<std::uint64_t> epochs{0};
     std::barrier<> barrier(static_cast<std::ptrdiff_t>(numShards));
 
-    // Capture the ambient trace configuration on the calling thread;
-    // workers bind private writers so concurrent shards never share a
-    // sink (per-shard files, like the sweep runner's per-point files).
-    const bool traceActive = TraceWriter::instance().enabled();
-    const std::string tracePath = TraceWriter::instance().path();
-
     auto worker = [&](std::size_t self) {
-        TraceWriter shardTrace;
-        std::unique_ptr<TraceWriter::Bind> traceBind;
-        if (traceActive) {
-            // "dir/run.json" -> "dir/run.shard2.json": keep the
-            // extension last so trace viewers recognize the files.
-            shardTrace.open(TraceWriter::derivedPath(
-                tracePath, "shard" + std::to_string(self)));
-            traceBind = std::make_unique<TraceWriter::Bind>(shardTrace);
-        }
         EventQueue &eq = *shards[self].eq;
         for (std::uint64_t e = 0;; ++e) {
             try {
@@ -123,10 +105,6 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
             windowStart[(e + 1) & 1].store(maxTick,
                                            std::memory_order_relaxed);
             barrier.arrive_and_wait();
-        }
-        if (traceBind) {
-            traceBind.reset();
-            shardTrace.close();
         }
     };
 

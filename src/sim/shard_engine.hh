@@ -32,9 +32,9 @@
  *
  * Threading: one worker thread per shard, synchronized by a
  * std::barrier (futex-backed, so oversubscribed or single-core hosts
- * degrade gracefully). With tracing active each worker binds a private
- * TraceWriter capturing to "<path>.shard<i>", mirroring the sweep
- * runner's per-point files.
+ * degrade gracefully). Each shard's components reach their per-run
+ * instruments (trace writer, span buffer, stamp board) through its
+ * queue, so a worker binds nothing.
  */
 
 #ifndef NETSPARSE_SIM_SHARD_ENGINE_HH

@@ -120,7 +120,6 @@ SweepExecutor::run(std::size_t n,
                 ns_warn("sweep: cannot open per-point trace ", path,
                         "; point ", i, " runs untraced");
             point(i);
-            pointTrace.close();
         } else {
             point(i);
         }

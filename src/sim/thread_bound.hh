@@ -4,9 +4,10 @@
  *
  * TraceWriter and the three run documents (StatsExport, TelemetrySink,
  * SpanSink; sim/run_document.hh) each have one process-wide instance
- * behind their output flag, and instrumented code reaches "the" sink
- * through instance(). A parallel sweep (sim/sweep.hh) or a sharded
- * engine (sim/shard_engine.hh) binds a private sink on a worker thread
+ * behind their output flag, and a run reaches "the" sink through
+ * instance() on the thread that starts it (components then reach the
+ * run's trace writer through their event queue, sim/trace.hh). A
+ * parallel sweep (sim/sweep.hh) binds private sinks on a worker thread
  * with an RAII Bind, so concurrent simulations never share one;
  * single-threaded tools never bind and keep the process-wide facade.
  */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -11,14 +9,6 @@
 namespace netsparse {
 
 namespace {
-
-/** Close the global writer at process exit so aborted runs keep the
- *  trace. */
-void
-atexitFlush()
-{
-    TraceWriter::global().close();
-}
 
 /** Ticks (ps) to the trace_events "ts" unit (us), keeping ps precision. */
 double
@@ -54,11 +44,6 @@ TraceWriter::open(const std::string &path)
         return false;
     }
     std::fclose(probe);
-
-    // once_flag, not a bare bool: sweep workers open per-point writers
-    // concurrently (src/sim/sweep.cc).
-    static std::once_flag atexit_once;
-    std::call_once(atexit_once, [] { std::atexit(atexitFlush); });
 
     path_ = path;
     enabled_ = true;

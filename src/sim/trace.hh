@@ -9,18 +9,18 @@
  * close(), so the output always loads in ui.perfetto.dev or
  * chrome://tracing regardless of the order spans retire in.
  *
- * instance() resolves to the calling thread's *bound* writer
- * (sim/thread_bound.hh) - by default the process-wide one behind
- * --trace-out, but a parallel sweep (sim/sweep.hh) or the sharded
- * engine binds a private writer on each worker thread with
- * TraceWriter::Bind so concurrent simulations capture into separate
- * files.
+ * Components reach their run's writer through their event queue
+ * (EventQueue::trace(), sim/event_queue.hh), the way they reach span
+ * buffers and stamp boards. JobScheduler::run attaches the calling
+ * thread's instance() (sim/thread_bound.hh) - the process-wide writer
+ * behind --trace-out, or a parallel sweep's per-point writer
+ * (sim/sweep.hh) - to a one-shard run, and to a sharded run one writer
+ * per shard, capturing to derivedPath(path, "shard<s>").
  *
- * Overhead discipline: tracing costs one inlined boolean test per
- * instrumentation site when disabled at runtime, and compiles away
- * entirely when NETSPARSE_TRACING_ENABLED is defined to 0 (CMake option
- * NETSPARSE_DISABLE_TRACING). Hot per-idx paths are never traced
- * individually; they aggregate into chunk-level events.
+ * Overhead discipline: an instrumentation site costs one null test of
+ * its queue's writer pointer while no capture is active. Hot per-idx
+ * paths are never traced individually; they aggregate into chunk-level
+ * events.
  *
  * See docs/observability.md for the event schema and a Perfetto
  * walkthrough.
@@ -39,10 +39,6 @@
 #include "sim/thread_bound.hh"
 #include "sim/types.hh"
 
-#ifndef NETSPARSE_TRACING_ENABLED
-#define NETSPARSE_TRACING_ENABLED 1
-#endif
-
 namespace netsparse {
 
 /**
@@ -59,12 +55,14 @@ class TraceWriter : public ThreadBound<TraceWriter>
   public:
     /** Per-run writers are plain objects; see Bind. */
     TraceWriter() = default;
+    ~TraceWriter() { close(); }
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
     /**
      * Start capturing and arrange for the trace to land at @p path
-     * (written on close(), which also runs atexit as a safety net).
+     * (written on close(), which the destructor also runs, so a run
+     * that ends in an exception still leaves its trace).
      * @return false when the path is not writable.
      */
     bool open(const std::string &path);
@@ -149,26 +147,16 @@ class TraceWriter : public ThreadBound<TraceWriter>
 } // namespace netsparse
 
 /**
- * NS_TRACE(stmts...): run the instrumentation statements only while a
- * capture is active; `tw` names the writer inside the body. Compiles to
- * nothing when tracing is disabled at build time.
+ * NS_TRACE(eq, stmts...): run the instrumentation statements only while
+ * EventQueue @p eq has a capturing writer attached; `tw` names the
+ * writer inside the body.
  */
-#if NETSPARSE_TRACING_ENABLED
-/** True while a capture is active (for instrumentation-only setup). */
-#define NS_TRACE_ON() (::netsparse::TraceWriter::instance().enabled())
-#define NS_TRACE(...)                                                       \
+#define NS_TRACE(eq, ...)                                                   \
     do {                                                                    \
-        ::netsparse::TraceWriter &tw =                                      \
-            ::netsparse::TraceWriter::instance();                           \
-        if (tw.enabled()) {                                                 \
+        if (::netsparse::TraceWriter *ns_tw = (eq).trace()) {               \
+            ::netsparse::TraceWriter &tw = *ns_tw;                          \
             __VA_ARGS__;                                                    \
         }                                                                   \
     } while (0)
-#else
-#define NS_TRACE_ON() false
-#define NS_TRACE(...)                                                       \
-    do {                                                                    \
-    } while (0)
-#endif
 
 #endif // NETSPARSE_SIM_TRACE_HH

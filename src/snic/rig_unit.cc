@@ -21,10 +21,9 @@ RigClientUnit::RigClientUnit(EventQueue &eq, const RigUnitConfig &cfg,
 }
 
 std::uint32_t
-RigClientUnit::traceTrack() const
+RigClientUnit::traceTrack(TraceWriter &tw) const
 {
-    return TraceWriter::instance().track(ctx_.nodeName() + ".rig" +
-                                         std::to_string(tid_));
+    return tw.track(ctx_.nodeName() + ".rig" + std::to_string(tid_));
 }
 
 void
@@ -47,8 +46,8 @@ RigClientUnit::start(RigCommand cmd)
     // nextReqId_) - the staleness test of onResponse.
     cmdReqIdBase_ = nextReqId_;
 
-    NS_TRACE(tw.instant(
-        traceTrack(), "cmd.start", eq_.now(),
+    NS_TRACE(eq_, tw.instant(
+        traceTrack(tw), "cmd.start", eq_.now(),
         traceArgs({{"idxs", static_cast<double>(cmd_.count)},
                    {"commandId",
                     static_cast<double>(cmd_.commandId)}})));
@@ -100,9 +99,9 @@ RigClientUnit::processChunk()
     if (!active_)
         return;
 
-    [[maybe_unused]] const Tick chunk_start = eq_.now();
-    [[maybe_unused]] RigClientStats before;
-    if (NS_TRACE_ON())
+    const Tick chunk_start = eq_.now();
+    RigClientStats before;
+    if (eq_.trace())
         before = stats_;
     std::uint32_t consumed = 0;
     enum class Stall
@@ -144,14 +143,15 @@ RigClientUnit::processChunk()
         if (pending_.full()) {
             // Stall until a response frees an entry.
             ++stats_.pendingStalls;
-            NS_TRACE(tw.instant(traceTrack(), "stall.pending",
-                                eq_.now()));
+            NS_TRACE(eq_, tw.instant(traceTrack(tw), "stall.pending",
+                                     eq_.now()));
             stall = Stall::Pending;
             break; // resumed by onResponse
         }
         if (ctx_.txBackpressured()) {
             ++stats_.txStalls;
-            NS_TRACE(tw.instant(traceTrack(), "stall.tx", eq_.now()));
+            NS_TRACE(eq_,
+                     tw.instant(traceTrack(tw), "stall.tx", eq_.now()));
             stall = Stall::Tx;
             break;
         }
@@ -172,19 +172,17 @@ RigClientUnit::processChunk()
         sendReadPr(reqId, idx, dest, false);
     }
 
-    NS_TRACE(
-        if (consumed) tw.complete(
-            traceTrack(), "chunk", chunk_start,
-            chunk_start + clock_.cycles(consumed),
-            traceArgs(
-                {{"idxs", static_cast<double>(consumed)},
-                 {"issued", static_cast<double>(stats_.prsIssued -
-                                                before.prsIssued)},
-                 {"filtered", static_cast<double>(stats_.filtered -
-                                                  before.filtered)},
-                 {"coalesced",
-                  static_cast<double>(stats_.coalesced -
-                                      before.coalesced)}})));
+    NS_TRACE(eq_, if (consumed) tw.complete(
+        traceTrack(tw), "chunk", chunk_start,
+        chunk_start + clock_.cycles(consumed),
+        traceArgs(
+            {{"idxs", static_cast<double>(consumed)},
+             {"issued", static_cast<double>(stats_.prsIssued -
+                                            before.prsIssued)},
+             {"filtered", static_cast<double>(stats_.filtered -
+                                              before.filtered)},
+             {"coalesced", static_cast<double>(stats_.coalesced -
+                                               before.coalesced)}})));
 
     if (stall == Stall::Pending) {
         waitingForPending_ = true;
@@ -230,7 +228,8 @@ RigClientUnit::onResponse(const PropertyRequest &pr)
             // node, bypassing the Property Cache so a poisoned entry
             // cannot serve the refetch. Counts against the budget.
             ++stats_.corruptDropped;
-            NS_TRACE(tw.instant(traceTrack(), "pr.nack", eq_.now()));
+            NS_TRACE(eq_,
+                     tw.instant(traceTrack(tw), "pr.nack", eq_.now()));
             if (it->second.attempts >= cfg_.retry.maxRetries) {
                 ++stats_.retriesExhausted;
                 finish(false);
@@ -371,15 +370,16 @@ RigClientUnit::checkRetransmits()
             // Retry budget exhausted: give up on the command the same
             // way the watchdog would, and let the host decide.
             ++stats_.retriesExhausted;
-            NS_TRACE(tw.instant(traceTrack(), "pr.retriesExhausted",
-                                eq_.now()));
+            NS_TRACE(eq_, tw.instant(traceTrack(tw),
+                                     "pr.retriesExhausted", eq_.now()));
             finish(false);
             return;
         }
         ++entry.attempts;
         entry.deadline = now + retryDelay(entry.attempts);
         ++stats_.retransmits;
-        NS_TRACE(tw.instant(traceTrack(), "pr.retransmit", eq_.now()));
+        NS_TRACE(eq_,
+                 tw.instant(traceTrack(tw), "pr.retransmit", eq_.now()));
         sendReadPr(reqId, entry.idx, entry.dest, entry.bypassCache,
                    entry.attempts);
     }
@@ -403,9 +403,9 @@ RigClientUnit::maybeComplete()
 void
 RigClientUnit::finish(bool success)
 {
-    NS_TRACE(tw.instant(traceTrack(),
-                        success ? "cmd.done" : "cmd.watchdogFail",
-                        eq_.now()));
+    NS_TRACE(eq_, tw.instant(traceTrack(tw),
+                             success ? "cmd.done" : "cmd.watchdogFail",
+                             eq_.now()));
     active_ = false;
     ++epoch_;
     // Leave no per-command state behind for the next command: clear the

@@ -38,6 +38,7 @@
 namespace netsparse {
 
 struct PrLatencyStats;
+class TraceWriter;
 
 /**
  * The reliable-PR transport policy of a client RIG unit.
@@ -217,8 +218,8 @@ class RigClientUnit
     };
 
     void scheduleChunk(Tick when);
-    /** Trace track for this unit ("<node>.rig<tid>"). */
-    std::uint32_t traceTrack() const;
+    /** Trace track for this unit ("<node>.rig<tid>") in @p tw. */
+    std::uint32_t traceTrack(TraceWriter &tw) const;
     void processChunk();
     void maybeComplete();
     void finish(bool success);

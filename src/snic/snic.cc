@@ -114,7 +114,7 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
     rxBytes_ += pkt.wireBytes(cfg_.proto);
     rxPayloadBytes_ += pkt.payloadBytes();
 
-    NS_TRACE(tw.instant(
+    NS_TRACE(eq_, tw.instant(
         tw.track(name_), "rx", eq_.now(),
         traceArgs({{"bytes", static_cast<double>(
                                  pkt.wireBytes(cfg_.proto))},

@@ -5,9 +5,9 @@
  * modes (1/N sampling and the tail-exemplar flight recorder); enabling
  * spans perturbs neither the run nor the other output documents; the
  * critical-path attribution of every exported span tiles its measured
- * latency exactly; and under the sharded engine the thread-bound
- * TraceWriter / TelemetrySink collectors stay shard-local (no
- * cross-shard event bleed at 4 shards).
+ * latency exactly; and under the sharded engine the per-shard trace
+ * writers and telemetry probes stay shard-local (no cross-shard event
+ * bleed at 4 shards).
  */
 
 #include <gtest/gtest.h>
@@ -108,7 +108,6 @@ runJobsCaptured(ClusterConfig cfg)
     return spanSink.toJson();
 }
 
-#if NETSPARSE_TRACING_ENABLED
 std::string
 slurp(const std::string &path)
 {
@@ -117,7 +116,6 @@ slurp(const std::string &path)
     os << in.rdbuf();
     return os.str();
 }
-#endif
 
 } // namespace
 
@@ -249,20 +247,17 @@ TEST(SpansGather, ShardedCollectorsStayShardLocal)
     Partition1D part = Partition1D::equalRows(m.rows, 16);
     ClusterConfig cfg = shardableCluster(4);
 
-#if NETSPARSE_TRACING_ENABLED
     const std::string base = "spans_itest_trace.json";
     TraceWriter ambient;
     ASSERT_TRUE(ambient.open(base));
     TraceWriter::Bind traceBind(ambient);
-#endif
 
     CapturedRun run = runCaptured(cfg, m, part, /*spans=*/false);
     EXPECT_EQ(run.result.simShards, 4u);
 
-#if NETSPARSE_TRACING_ENABLED
     ambient.close();
 
-    // Each shard thread bound its own writer, so the per-shard files
+    // Each shard's queue had its own writer, so the per-shard files
     // exist and no component's events bled into another shard's file.
     // Per-shard infrastructure tracks ("sim.*") are expected in all.
     std::vector<std::set<std::string>> tracks(4);
@@ -290,7 +285,6 @@ TEST(SpansGather, ShardedCollectorsStayShardLocal)
                 EXPECT_EQ(tracks[b].count(name), 0u)
                     << name << " bled between shards " << a << " and "
                     << b;
-#endif
 
     // The telemetry collector is shard-local too: the merged document
     // carries every entity exactly once.

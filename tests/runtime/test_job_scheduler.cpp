@@ -3,18 +3,24 @@
  * JobScheduler unit tests: the single-job schedule is the legacy
  * cluster run, concurrent jobs all complete with correct per-tenant
  * accounting, an admission delay holds a job back, a run cut off by
- * the simulation cap is fatal, and the background-traffic config
- * parses exactly what docs/observability.md promises.
+ * the simulation cap is fatal (and keeps its per-shard traces), and
+ * the background-traffic config parses exactly what
+ * docs/observability.md promises.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/json_lite.hh"
 #include "runtime/job_scheduler.hh"
 #include "sim/stats_export.hh"
+#include "sim/trace.hh"
 #include "sparse/generators.hh"
 
 using namespace netsparse;
@@ -30,6 +36,23 @@ shardableCluster(std::uint32_t shards = 1)
     cfg.numSpines = 4;
     cfg.simShards = shards;
     return cfg;
+}
+
+/** One job cut off by a 2 us cap; @return the fatal's message. */
+std::string
+capFatal(const Csr &m, std::uint32_t shards)
+{
+    ClusterConfig cfg = shardableCluster(shards);
+    cfg.maxSimTime = 2 * ticks::us;
+    std::vector<JobSpec> specs(1);
+    specs[0].work =
+        GatherWorkload::slice(m, Partition1D::equalRows(m.rows, 16));
+    try {
+        JobScheduler(cfg).run(std::move(specs));
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "no fatal";
 }
 
 } // namespace
@@ -161,22 +184,40 @@ TEST(JobScheduler, SimulationCapIsFatal)
     // first slice that did not finish, at any shard count.
     Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
     for (std::uint32_t shards : {1u, 2u}) {
-        ClusterConfig cfg = shardableCluster(shards);
-        cfg.maxSimTime = 2 * ticks::us;
-        std::vector<JobSpec> specs(1);
-        specs[0].work =
-            GatherWorkload::slice(m, Partition1D::equalRows(m.rows, 16));
-        try {
-            JobScheduler(cfg).run(std::move(specs));
-            ADD_FAILURE() << "no fatal at " << shards << " shards";
-        } catch (const std::runtime_error &e) {
-            std::string what = e.what();
-            EXPECT_NE(what.find("0/16 hosts finished"), std::string::npos)
-                << what;
-            EXPECT_NE(what.find("first unfinished: node0 with "),
-                      std::string::npos)
-                << what;
-        }
+        std::string what = capFatal(m, shards);
+        EXPECT_NE(what.find("0/16 hosts finished"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("first unfinished: node0 with "),
+                  std::string::npos)
+            << what;
+    }
+
+    // A traced sharded run still writes every per-shard trace: the
+    // shard writers close as the fatal unwinds.
+    const std::string base =
+        ::testing::TempDir() + "netsparse_cap_trace.json";
+    auto shardPath = [&base](int s) {
+        return TraceWriter::derivedPath(base, "shard" + std::to_string(s));
+    };
+    for (int s = 0; s < 2; ++s)
+        std::remove(shardPath(s).c_str());
+    TraceWriter ambient;
+    ASSERT_TRUE(ambient.open(base));
+    {
+        TraceWriter::Bind traceBind(ambient);
+        EXPECT_NE(capFatal(m, 2).find("0/16 hosts finished"),
+                  std::string::npos);
+    }
+    ambient.close();
+    std::remove(base.c_str());
+    for (int s = 0; s < 2; ++s) {
+        std::ifstream in(shardPath(s));
+        ASSERT_TRUE(in) << shardPath(s);
+        std::ostringstream text;
+        text << in.rdbuf();
+        jsonlite::Value doc = jsonlite::parse(text.str());
+        EXPECT_GT(doc.at("traceEvents").array.size(), 1u) << shardPath(s);
+        std::remove(shardPath(s).c_str());
     }
 }
 

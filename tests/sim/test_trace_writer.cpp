@@ -8,6 +8,7 @@
 #include <string>
 
 #include "analysis/json_lite.hh"
+#include "sim/event_queue.hh"
 #include "sim/trace.hh"
 
 using namespace netsparse;
@@ -40,16 +41,38 @@ slurp(const std::string &path)
 
 } // namespace
 
-TEST(TraceWriter, DisabledWriterRecordsNothing)
+TEST(TraceWriter, OnlyTheQueuesWriterRecords)
 {
-    TraceWriter &tw = TraceWriter::instance();
-    ASSERT_FALSE(tw.enabled());
-    std::size_t before = tw.eventCount();
+    // Components reach the trace through their queue alone: a queue
+    // without a writer runs no trace body, even while the thread has
+    // an open writer bound.
+    TempFile boundOut("trace_bound"), attachedOut("trace_attached");
+    TraceWriter bound;
+    ASSERT_TRUE(bound.open(boundOut.path()));
+    TraceWriter::Bind bind(bound);
+    EventQueue eq;
+    bool ran = false;
+    NS_TRACE(eq, ran = tw.enabled());
+    EXPECT_FALSE(ran);
 
-    // The instrumentation macro must not touch the writer when no
-    // capture is active.
-    NS_TRACE(tw.instant(tw.track("test"), "never", 123));
-    EXPECT_EQ(tw.eventCount(), before);
+    // A writer that is not capturing attaches as null.
+    TraceWriter idle;
+    eq.setTrace(&idle);
+    EXPECT_EQ(eq.trace(), nullptr);
+
+    // The queue's own counter site samples every 1024th event, into
+    // the attached writer only.
+    TraceWriter attached;
+    ASSERT_TRUE(attached.open(attachedOut.path()));
+    eq.setTrace(&attached);
+    for (int i = 0; i < 1024; ++i)
+        eq.schedule(static_cast<Tick>(i), [] {});
+    eq.run();
+    NS_TRACE(eq, ran = tw.enabled());
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(attached.eventCount(), 1u);
+    EXPECT_EQ(bound.eventCount(), 0u);
+    EXPECT_EQ(idle.eventCount(), 0u);
 }
 
 TEST(TraceWriter, ProducesValidChromeTraceJson)
