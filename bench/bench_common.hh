@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/span.hh"
 #include "sim/stats_export.hh"
 #include "sim/sweep.hh"
@@ -89,22 +90,14 @@ initObservability(int argc, char **argv)
 inline double
 benchScale(double fallback = 1.0)
 {
-    const char *env = std::getenv("NETSPARSE_BENCH_SCALE");
-    if (!env)
-        return fallback;
-    double v = std::atof(env);
-    return v > 0 ? v : fallback;
+    return envPositive("NETSPARSE_BENCH_SCALE", fallback);
 }
 
 /** Number of cluster nodes (env NETSPARSE_BENCH_NODES, default 128). */
 inline std::uint32_t
 benchNodes(std::uint32_t fallback = 128)
 {
-    const char *env = std::getenv("NETSPARSE_BENCH_NODES");
-    if (!env)
-        return fallback;
-    int v = std::atoi(env);
-    return v > 1 ? static_cast<std::uint32_t>(v) : fallback;
+    return envUint("NETSPARSE_BENCH_NODES", fallback, 2);
 }
 
 /** Sweep worker count (env NETSPARSE_BENCH_JOBS, default 1). */

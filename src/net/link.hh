@@ -158,14 +158,6 @@ class Link
                          : 0.0;
     }
 
-    /**
-     * Absolute tick the wire is committed until. Telemetry samplers
-     * use this (not queueDelay(), which is relative to the owning
-     * queue's clock) so occupancy at a sample boundary is computed
-     * against the boundary tick, which every shard agrees on.
-     */
-    Tick busyUntilTick() const { return busyUntil_; }
-
     /** Bytes of transmit buffering committed beyond tick @p t. */
     double
     queuedBytesAt(Tick t) const

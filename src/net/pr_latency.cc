@@ -16,70 +16,28 @@ deltaNs(Tick from, Tick to)
 
 } // namespace
 
-void
-StampBoard::issue(const PropertyRequest &pr, Tick now)
+StampBoard::StampBoard(std::uint32_t nodes, std::uint32_t tenants,
+                       std::uint32_t clients)
+    : tenants_(tenants), slices_(std::size_t{nodes} * tenants)
 {
-    tableFor(clientKey(pr.tenant, pr.src, pr.srcTid))
-        .insert(pr.reqId, pr.attempt, now);
-    ++size_;
+    for (Slice &s : slices_)
+        s.clients.resize(clients);
 }
 
-PrStamps
-StampBoard::accept(const PropertyRequest &pr, std::uint32_t lastAttempt)
+void
+StampBoard::accept(const PropertyRequest &pr, std::uint32_t lastAttempt,
+                   Tick now)
 {
-    PrStamps out;
-    ClientTable *t = tableOf(clientKey(pr.tenant, pr.src, pr.srcTid));
-    if (!t)
-        return out;
+    ClientTable &t = table(pr);
+    PrStamps stamps;
     for (std::uint32_t a = 0; a <= lastAttempt; ++a) {
-        if (ClientTable::Slot *s = t->find(pr.reqId, a)) {
+        if (ClientTable::Slot *s = t.find(pr.reqId, a)) {
             if (a == pr.attempt)
-                out = s->stamps;
-            t->erase(static_cast<std::size_t>(s - t->slots.data()));
-            --size_;
+                stamps = s->stamps;
+            t.erase(static_cast<std::size_t>(s - t.slots.data()));
         }
     }
-    return out;
-}
-
-void
-StampBoard::dropClient(std::uint16_t tenant, NodeId src,
-                       std::uint16_t srcTid)
-{
-    if (ClientTable *t = tableOf(clientKey(tenant, src, srcTid))) {
-        for (auto &slot : t->slots)
-            slot.used = false;
-        size_ -= t->live;
-        t->live = 0;
-    }
-}
-
-StampBoard::ClientTable &
-StampBoard::tableFor(std::uint64_t key)
-{
-    if (ClientTable *t = tableOf(key))
-        return *t;
-    // <= 50% load keeps the directory's probe chains short.
-    if (2 * (tables_.size() + 1) > dir_.size()) {
-        std::vector<DirSlot> old(std::max<std::size_t>(64, 2 * dir_.size()));
-        old.swap(dir_);
-        for (const DirSlot &d : old)
-            if (d.table != 0)
-                placeDir(d);
-    }
-    tables_.emplace_back();
-    placeDir(DirSlot{key, static_cast<std::uint32_t>(tables_.size())});
-    return tables_.back();
-}
-
-void
-StampBoard::placeDir(const DirSlot &d)
-{
-    const std::size_t mask = dir_.size() - 1;
-    std::size_t i = splitmix64(d.key) & mask;
-    while (dir_[i].table != 0)
-        i = (i + 1) & mask;
-    dir_[i] = d;
+    slices_[pr.src * tenants_ + pr.tenant].latency.record(stamps, pr, now);
 }
 
 void

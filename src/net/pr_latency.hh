@@ -6,12 +6,12 @@
  * egress -> requester's ToR ingress -> fetch (ToR Property Cache hit
  * or remote DRAM) -> response accepted at the client. The first three
  * stamps are written on the requester's shard - the shard map keeps a
- * rack's ToR, hosts and SNICs on one queue - so they live in that
- * shard's StampBoard, keyed by the attempt's identity, and never ride
- * the PR. The fetch stamp is written on the home node's shard, so it
- * rides the response (PropertyRequest::fetchTick). PrLatencyStats
- * turns the stamps of each accepted response into stage-delta
- * histograms:
+ * rack's ToR, hosts and SNICs on one queue - so they live in the
+ * requester's slice of the StampBoard, keyed by the attempt's
+ * identity, and never ride the PR. The fetch stamp is written on the
+ * home node's shard, so it rides the response
+ * (PropertyRequest::fetchTick). The slice's PrLatencyStats turns the
+ * stamps of each accepted response into stage-delta histograms:
  *
  *   nicNs          issue -> egress: NIC-side time (concatenation
  *                  wait, transmit buffering) before serialization
@@ -29,11 +29,11 @@
  *
  * On a retransmitted PR the stamps describe the attempt whose
  * response was accepted. A stage whose stamps are absent (e.g. no
- * middle pipes on a baseline run) simply records nothing. Collection
- * is gated by the cluster on telemetry being enabled, so the lossless
- * fast path and the exported stats document are untouched otherwise;
- * per-node collectors merge exactly (integer bucket counts), keeping
- * the cluster-wide document byte-identical at any shard count.
+ * middle pipes on a baseline run) simply records nothing. The board
+ * exists only while telemetry is on, so the lossless fast path and the
+ * exported stats document are untouched otherwise; per-slice
+ * collectors merge exactly (integer bucket counts), keeping the
+ * cluster-wide document byte-identical at any shard count.
  */
 
 #ifndef NETSPARSE_NET_PR_LATENCY_HH
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "net/protocol.hh"
-#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -59,144 +58,6 @@ struct PrStamps
     Tick egressTick = 0;
     /** The read entered the requester's ToR middle pipe. */
     Tick torIngressTick = 0;
-};
-
-/**
- * One shard's stamp board: the PrStamps of every read attempt issued on
- * the shard and not yet answered, keyed by (tenant, src, srcTid,
- * reqId, attempt). Components reach it through EventQueue::stampBoard(),
- * which is null unless PR-latency accounting or span capture is on.
- *
- * Only the issuing client opens an entry; the SNIC egress path and the
- * ToR middle pipe stamp an existing entry and ignore a missing one (a
- * retransmit's stray copy after its reqId was answered). The accepted
- * response takes its attempt's entry and drops the reqId's other
- * attempts; a failed command drops its client's entries.
- *
- * Each client RIG unit gets its own flat open-addressing table, found
- * through a small directory. A client's reqIds are consecutive, so
- * hashing by the reqId itself puts its live attempts in consecutive
- * slots: issuing a chunk writes adjacent memory, and at paper scale
- * (millions of attempts in flight) a lookup costs about one cache miss
- * instead of a random probe into one huge table. Tables grow with the
- * client's attempts in flight and are never preallocated.
- */
-class StampBoard
-{
-  public:
-    /** Open @p pr's attempt, issued at @p now. */
-    void issue(const PropertyRequest &pr, Tick now);
-
-    /** Stamp NIC egress of @p pr's attempt, if it is on the board. */
-    void
-    stampEgress(const PropertyRequest &pr, Tick now)
-    {
-        if (PrStamps *s = find(pr))
-            s->egressTick = now;
-    }
-
-    /** Stamp ToR ingress of @p pr's attempt, if it is on the board. */
-    void
-    stampTorIngress(const PropertyRequest &pr, Tick now)
-    {
-        if (PrStamps *s = find(pr))
-            s->torIngressTick = now;
-    }
-
-    /**
-     * @p pr's response was accepted: return its attempt's stamps (all
-     * zero if absent) and drop attempts 0..@p lastAttempt of its reqId.
-     */
-    PrStamps accept(const PropertyRequest &pr, std::uint32_t lastAttempt);
-
-    /** Drop every entry of one client RIG unit (its command failed). */
-    void dropClient(std::uint16_t tenant, NodeId src,
-                    std::uint16_t srcTid);
-
-    /** Attempts on the board. */
-    std::size_t size() const { return size_; }
-
-  private:
-    /** One client's attempts; the reqId is the hash. */
-    struct ClientTable
-    {
-        struct Slot
-        {
-            std::uint32_t reqId = 0;
-            std::uint8_t attempt = 0;
-            bool used = false;
-            PrStamps stamps;
-        };
-
-        /** Power-of-two slot array; empty until the first issue. */
-        std::vector<Slot> slots;
-        std::size_t live = 0;
-
-        Slot *
-        find(std::uint32_t reqId, std::uint32_t attempt)
-        {
-            if (slots.empty())
-                return nullptr;
-            const std::size_t mask = slots.size() - 1;
-            for (std::size_t i = reqId & mask; slots[i].used;
-                 i = (i + 1) & mask)
-                if (slots[i].reqId == reqId && slots[i].attempt == attempt)
-                    return &slots[i];
-            return nullptr;
-        }
-
-        void insert(std::uint32_t reqId, std::uint8_t attempt, Tick now);
-        /** Put @p s in the first free slot of its probe chain. */
-        void place(const Slot &s);
-        /** Free slot @p i (backward-shift deletion, no tombstones). */
-        void erase(std::size_t i);
-    };
-
-    static std::uint64_t
-    clientKey(std::uint16_t tenant, NodeId src, std::uint16_t srcTid)
-    {
-        return static_cast<std::uint64_t>(tenant) << 48 |
-               static_cast<std::uint64_t>(src) << 16 | srcTid;
-    }
-
-    /** @p key's table, or null when that client never issued here. */
-    ClientTable *
-    tableOf(std::uint64_t key)
-    {
-        if (dir_.empty())
-            return nullptr;
-        const std::size_t mask = dir_.size() - 1;
-        for (std::size_t i = splitmix64(key) & mask; dir_[i].table != 0;
-             i = (i + 1) & mask)
-            if (dir_[i].key == key)
-                return &tables_[dir_[i].table - 1];
-        return nullptr;
-    }
-
-    PrStamps *
-    find(const PropertyRequest &pr)
-    {
-        ClientTable *t = tableOf(clientKey(pr.tenant, pr.src, pr.srcTid));
-        ClientTable::Slot *s = t ? t->find(pr.reqId, pr.attempt) : nullptr;
-        return s ? &s->stamps : nullptr;
-    }
-
-    /** @p key's table, created on its client's first issue. */
-    ClientTable &tableFor(std::uint64_t key);
-
-    /** Directory slot: table is an index into tables_ plus one, and
-     *  0 marks a free slot. Clients are never removed. */
-    struct DirSlot
-    {
-        std::uint64_t key = 0;
-        std::uint32_t table = 0;
-    };
-    /** Put @p d in the first free directory slot of its probe chain. */
-    void placeDir(const DirSlot &d);
-
-    std::vector<DirSlot> dir_;
-    std::vector<ClientTable> tables_;
-    std::size_t size_ = 0;
 };
 
 /** Stage-delta latency accumulators for one collector (node/cluster). */
@@ -243,6 +104,133 @@ struct PrLatencyStats
      * counters. Used for the cluster-wide aggregate.
      */
     void exportStats(StatRegistry &reg, const std::string &prefix) const;
+};
+
+/**
+ * The run's PR-latency recorder. For every (node, tenant) slice it
+ * holds the PrStamps of each read attempt the slice's client RIG units
+ * issued and have not had answered, and the slice's PrLatencyStats.
+ * Components reach it through EventQueue::stampBoard(), which is null
+ * unless telemetry is on. One board serves every shard: a slice's
+ * clients, SNIC egress and ToR middle pipe run on its rack's queue, so
+ * each slice is written by one shard only.
+ *
+ * Only the issuing client opens an entry; the SNIC egress path and the
+ * ToR middle pipe stamp an existing entry and ignore a missing one (a
+ * retransmit's stray copy after its reqId was answered). The accepted
+ * response records its attempt's stamps and drops the reqId's other
+ * attempts; a failed command drops its client's entries.
+ *
+ * Each client RIG unit has its own flat open-addressing table, indexed
+ * directly by (node, tenant, srcTid). A client's reqIds are consecutive,
+ * so hashing by the reqId itself puts its live attempts in consecutive
+ * slots: issuing a chunk writes adjacent memory, and at paper scale
+ * (millions of attempts in flight) a lookup costs about one cache miss
+ * instead of a random probe into one huge table. Tables grow with the
+ * client's attempts in flight and are never preallocated.
+ */
+class StampBoard
+{
+  public:
+    /** @p nodes x @p tenants slices of @p clients client RIG units. */
+    StampBoard(std::uint32_t nodes, std::uint32_t tenants,
+               std::uint32_t clients);
+
+    /** Open @p pr's attempt, issued at @p now. */
+    void
+    issue(const PropertyRequest &pr, Tick now)
+    {
+        table(pr).insert(pr.reqId, pr.attempt, now);
+    }
+
+    /** Stamp NIC egress of @p pr's attempt, if it is on the board. */
+    void
+    stampEgress(const PropertyRequest &pr, Tick now)
+    {
+        if (ClientTable::Slot *s = table(pr).find(pr.reqId, pr.attempt))
+            s->stamps.egressTick = now;
+    }
+
+    /** Stamp ToR ingress of @p pr's attempt, if it is on the board. */
+    void
+    stampTorIngress(const PropertyRequest &pr, Tick now)
+    {
+        if (ClientTable::Slot *s = table(pr).find(pr.reqId, pr.attempt))
+            s->stamps.torIngressTick = now;
+    }
+
+    /**
+     * @p pr's response was accepted at @p now: record its attempt's
+     * stamps (nothing if absent) in its slice's collector and drop
+     * attempts 0..@p lastAttempt of its reqId.
+     */
+    void accept(const PropertyRequest &pr, std::uint32_t lastAttempt,
+                Tick now);
+
+    /** Drop every entry of one client RIG unit (its command failed). */
+    void
+    dropClient(std::uint16_t tenant, NodeId src, std::uint16_t srcTid)
+    {
+        slices_[src * tenants_ + tenant].clients[srcTid] = ClientTable{};
+    }
+
+    /** Slice (@p node, @p tenant)'s collector. */
+    const PrLatencyStats &
+    latency(NodeId node, std::uint32_t tenant) const
+    {
+        return slices_[node * tenants_ + tenant].latency;
+    }
+
+  private:
+    /** One client's attempts; the reqId is the hash. */
+    struct ClientTable
+    {
+        struct Slot
+        {
+            std::uint32_t reqId = 0;
+            std::uint8_t attempt = 0;
+            bool used = false;
+            PrStamps stamps;
+        };
+
+        /** Power-of-two slot array; empty until the first issue. */
+        std::vector<Slot> slots;
+        std::size_t live = 0;
+
+        Slot *
+        find(std::uint32_t reqId, std::uint32_t attempt)
+        {
+            if (slots.empty())
+                return nullptr;
+            const std::size_t mask = slots.size() - 1;
+            for (std::size_t i = reqId & mask; slots[i].used;
+                 i = (i + 1) & mask)
+                if (slots[i].reqId == reqId && slots[i].attempt == attempt)
+                    return &slots[i];
+            return nullptr;
+        }
+
+        void insert(std::uint32_t reqId, std::uint8_t attempt, Tick now);
+        /** Put @p s in the first free slot of its probe chain. */
+        void place(const Slot &s);
+        /** Free slot @p i (backward-shift deletion, no tombstones). */
+        void erase(std::size_t i);
+    };
+
+    struct Slice
+    {
+        std::vector<ClientTable> clients; ///< By srcTid.
+        PrLatencyStats latency;
+    };
+
+    ClientTable &
+    table(const PropertyRequest &pr)
+    {
+        return slices_[pr.src * tenants_ + pr.tenant].clients[pr.srcTid];
+    }
+
+    std::uint32_t tenants_;
+    std::vector<Slice> slices_; ///< Nid-major, like the fabric's.
 };
 
 } // namespace netsparse

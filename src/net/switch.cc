@@ -155,8 +155,8 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
         if (board && pr.type == PrType::Read && from_host) {
             // Lifecycle stamp: the read reached its requester's ToR
             // middle pipe (net/pr_latency.hh). The shard map keeps a
-            // rack's hosts on its ToR's queue, so this is the board
-            // the read's entry was opened on.
+            // rack's hosts on its ToR's queue, so only this shard
+            // writes the read's slice of the board.
             board->stampTorIngress(pr, eq_.now());
         }
         if (pr.type == PrType::Read && from_host && !egress_host &&

@@ -255,7 +255,7 @@ struct Fabric
  */
 void
 buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
-                const BackgroundTrafficConfig &bg, bool telemetry_on)
+                const BackgroundTrafficConfig &bg)
 {
     const ClusterConfig &cfg = f.cfg;
 
@@ -285,8 +285,6 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
                 },
                 jobs[t].work.numIdxs, f.sliceName(nid, t) + ".snic"));
             f.snics.back()->setOwnerPartition(jobs[t].work.part);
-            if (telemetry_on)
-                f.snics.back()->enablePrLatency();
             f.demuxes.back()->attach(f.snics.back().get());
         }
     }
@@ -750,7 +748,7 @@ collectResults(const Fabric &f, const std::vector<JobSpec> &jobs,
 void
 exportRunStats(const Fabric &f, const MultiJobResult &mr,
                const std::vector<JobSpec> &jobs,
-               const BackgroundTrafficConfig &bg, bool telemetry_on)
+               const BackgroundTrafficConfig &bg, const StampBoard *board)
 {
     StatRegistry &reg = StatsExport::instance().beginRun();
     if (!f.multi) {
@@ -781,8 +779,13 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
         }
     }
     for (NodeId nid = 0; nid < f.cfg.numNodes; ++nid) {
-        for (std::uint32_t t = 0; t < f.T; ++t)
-            f.snic(nid, t).exportStats(reg, f.snic(nid, t).name());
+        for (std::uint32_t t = 0; t < f.T; ++t) {
+            const std::string &name = f.snic(nid, t).name();
+            f.snic(nid, t).exportStats(reg, name);
+            if (board)
+                reg.setAverage(name + ".prLatency.totalNs",
+                               board->latency(nid, t).totalAvgNs);
+        }
         std::string node = "node" + std::to_string(nid);
         const Link *tx = f.nicEgress[nid];
         reg.set(node + ".tx.packets",
@@ -798,14 +801,14 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
         f.switches[sid]->exportStats(reg, f.switchNames[sid]);
     reg.set("sim.executedEvents", static_cast<double>(mr.executedEvents));
     reg.set("sim.finalTick", static_cast<double>(mr.finalTick));
-    if (telemetry_on) {
-        // Cluster-wide PR latency decomposition; per-node averages ride
-        // each SNIC's own exportStats above. Gated so the telemetry-off
-        // document stays byte-identical.
+    if (board) {
+        // Cluster-wide PR latency decomposition beside the per-slice
+        // averages above. The board exists only with telemetry on, so
+        // the telemetry-off document stays byte-identical.
         for (std::uint32_t t = 0; t < f.T; ++t) {
             PrLatencyStats agg;
             for (NodeId nid = 0; nid < f.cfg.numNodes; ++nid)
-                agg.merge(*f.snic(nid, t).prLatency());
+                agg.merge(board->latency(nid, t));
             agg.exportStats(reg, f.multi ? "cluster.tenant" +
                                                std::to_string(t) +
                                                ".prLatency"
@@ -908,15 +911,14 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     // branch in the dispatch loop) unless the sink is enabled.
     const bool telemetry_on =
         TelemetrySink::instance().enabled() && cfg_.telemetryInterval > 0;
-    // The lifecycle stamps (net/pr_latency.hh) are read by the latency
-    // collectors and the span retire records; like the span buffers,
-    // one board per shard, each written only by its own queue.
-    std::vector<std::unique_ptr<StampBoard>> boards;
-    if (telemetry_on || spans_on) {
-        for (auto &q : f.queues) {
-            boards.push_back(std::make_unique<StampBoard>());
-            q->setStampBoard(boards.back().get());
-        }
+    // The PR-latency recorder (net/pr_latency.hh): one board for every
+    // shard, since each slice in it is written by its rack's queue only.
+    std::unique_ptr<StampBoard> board;
+    if (telemetry_on) {
+        board = std::make_unique<StampBoard>(cfg_.numNodes, T,
+                                             cfg_.snic.numRigUnits / 2);
+        for (auto &q : f.queues)
+            q->setStampBoard(board.get());
     }
     // The event trace (sim/trace.hh): the calling thread's writer
     // captures a one-shard run. Track ids cannot be merged across
@@ -936,7 +938,7 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         f.queues[s]->setTrace(w);
     }
 
-    buildComponents(f, jobs, bg, telemetry_on);
+    buildComponents(f, jobs, bg);
     std::vector<std::unique_ptr<TelemetryProbe>> probes;
     if (telemetry_on)
         probes = attachTelemetry(f);
@@ -968,7 +970,7 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
 
     MultiJobResult mr = collectResults(f, jobs, res);
     if (StatsExport::instance().enabled())
-        exportRunStats(f, mr, jobs, bg, telemetry_on);
+        exportRunStats(f, mr, jobs, bg, board.get());
     return mr;
 }
 

@@ -27,16 +27,12 @@ resolveShardCount(std::uint32_t requested, std::uint32_t racks)
     std::uint32_t want = requested;
     if (want == 0) {
         const char *env = std::getenv("NETSPARSE_SIM_SHARDS");
-        if (!env || !*env) {
-            want = 1;
-        } else if (!std::strcmp(env, "racks") ||
-                   !std::strcmp(env, "auto")) {
+        if (env && (!std::strcmp(env, "racks") ||
+                    !std::strcmp(env, "auto"))) {
             std::uint32_t cores = std::thread::hardware_concurrency();
             want = std::max<std::uint32_t>(1, std::min(racks, cores));
         } else {
-            long v = std::strtol(env, nullptr, 10);
-            ns_assert(v >= 1, "bad NETSPARSE_SIM_SHARDS: ", env);
-            want = static_cast<std::uint32_t>(v);
+            want = envUint("NETSPARSE_SIM_SHARDS", 1, 1);
         }
     }
     return std::clamp<std::uint32_t>(want, 1, std::max(1u, racks));

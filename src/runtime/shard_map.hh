@@ -15,7 +15,8 @@
  * NETSPARSE_SIM_SHARDS environment variable as the fallback:
  * unset/"1" runs sequentially, an integer asks for that many shards,
  * "racks" or "auto" picks one shard per rack capped at the host's
- * hardware concurrency. Requests are clamped to [1, racks].
+ * hardware concurrency, and anything else is fatal. Requests are
+ * clamped to [1, racks].
  */
 
 #ifndef NETSPARSE_RUNTIME_SHARD_MAP_HH

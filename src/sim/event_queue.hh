@@ -62,9 +62,6 @@ class TraceWriter;
 class EventQueue
 {
   public:
-    /** Compatibility alias; any move-constructible callable works. */
-    using Callback = std::function<void()>;
-
     EventQueue() = default;
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
@@ -197,13 +194,13 @@ class EventQueue
     SpanBuffer *spans() const { return spans_; }
 
     /**
-     * Attach this queue's PR lifecycle stamp board (net/pr_latency.hh),
-     * per queue like the span buffer. Components reach it through
-     * stampBoard(); null (the default) means nothing reads the stamps.
+     * Attach the run's PR-latency stamp board (net/pr_latency.hh), one
+     * shared by every shard's queue. Components reach it through
+     * stampBoard(); null (the default) means latency is not recorded.
      */
     void setStampBoard(StampBoard *board) { stamps_ = board; }
 
-    /** The attached stamp board, or null when no one reads stamps. */
+    /** The attached stamp board, or null when latency is off. */
     StampBoard *stampBoard() const { return stamps_; }
 
     /**

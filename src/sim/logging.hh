@@ -6,11 +6,15 @@
  * fatal()  - the user asked for something impossible (exits cleanly).
  * warn()   - something suspicious but survivable happened.
  * inform() - plain status output.
+ *
+ * envUint() and envPositive() read a numeric environment variable and
+ * treat a malformed value as a fatal() user error.
  */
 
 #ifndef NETSPARSE_SIM_LOGGING_HH
 #define NETSPARSE_SIM_LOGGING_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -42,6 +46,18 @@ void informImpl(const std::string &msg);
 /** Global verbosity switch: when false, inform() output is suppressed. */
 void setVerbose(bool verbose);
 bool verbose();
+
+/**
+ * Environment variable @p var as a whole number in [@p min, 2^32), or
+ * @p fallback when it is unset or empty. Anything else is fatal, in the
+ * CLI's format: "<var>: expected a 32-bit integer >= <min>, got '<value>'".
+ */
+std::uint32_t envUint(const char *var, std::uint32_t fallback,
+                      std::uint32_t min);
+
+/** The same for a positive finite number ("expected a positive
+ *  number"). */
+double envPositive(const char *var, double fallback);
 
 } // namespace netsparse
 

@@ -144,6 +144,18 @@ SpanBuffer::maybePrune(std::uint64_t spanId)
     }
 }
 
+Tick
+SpanBuffer::issueTickOf(std::uint64_t spanId, std::uint32_t attempt) const
+{
+    const SpanStage stage =
+        attempt ? SpanStage::Retransmit : SpanStage::Issue;
+    if (const std::vector<SpanEvent> *ev = eventsOf(spanId))
+        for (const SpanEvent &e : *ev)
+            if (e.stage == stage && (attempt == 0 || e.detail == attempt))
+                return e.tick;
+    return 0;
+}
+
 void
 buildSpanRun(SpanRun &run, const std::vector<SpanBuffer *> &bufs)
 {

@@ -213,6 +213,13 @@ class SpanBuffer
     /** Spans whose events were pruned by the flight recorder. */
     std::uint64_t prunedSpans() const { return pruned_; }
 
+    /**
+     * When span @p spanId's attempt @p attempt was issued: the tick of
+     * its Issue event (attempt 0) or of its Retransmit event for that
+     * attempt, both recorded here by the issuing client; 0 if absent.
+     */
+    Tick issueTickOf(std::uint64_t spanId, std::uint32_t attempt) const;
+
     /** Events of @p spanId still held here (empty vector if none). */
     const std::vector<SpanEvent> *
     eventsOf(std::uint64_t spanId) const

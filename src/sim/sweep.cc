@@ -1,7 +1,6 @@
 #include "sim/sweep.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -19,13 +18,7 @@ namespace netsparse {
 unsigned
 SweepExecutor::jobsFromEnv()
 {
-    const char *env = std::getenv("NETSPARSE_BENCH_JOBS");
-    if (!env || !*env)
-        return 1;
-    long v = std::strtol(env, nullptr, 10);
-    if (v < 1)
-        return 1;
-    return static_cast<unsigned>(v);
+    return envUint("NETSPARSE_BENCH_JOBS", 1, 1);
 }
 
 void

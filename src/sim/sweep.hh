@@ -50,7 +50,8 @@ class SweepExecutor
     /** A pool of @p jobs workers (values < 1 behave like 1). */
     explicit SweepExecutor(unsigned jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
 
-    /** Worker count from NETSPARSE_BENCH_JOBS (default 1: sequential). */
+    /** Worker count from NETSPARSE_BENCH_JOBS (default 1: sequential;
+     *  not a whole number >= 1 is fatal). */
     static unsigned jobsFromEnv();
 
     unsigned jobs() const { return jobs_; }

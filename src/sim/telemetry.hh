@@ -94,7 +94,6 @@ class TelemetryProbe
     /** Sample any remaining boundaries <= @p finalTick (end of run). */
     void flushUntil(Tick finalTick);
 
-    Tick interval() const { return interval_; }
     std::size_t numSamples() const { return numSamples_; }
 
     /** Events executed on the attached queue, per interval. */

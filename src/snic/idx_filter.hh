@@ -15,8 +15,7 @@
  * scale (1024 nodes over a 23M-column matrix) each node touches only its
  * local band plus the hot foreign regions, so most pages of most nodes
  * are never materialized; sizeBytes() keeps reporting the *modeled*
- * dense footprint (it feeds the stats document), residentBytes() the
- * simulator's actual one (docs/scaling.md).
+ * dense footprint (it feeds the stats document; docs/scaling.md).
  */
 
 #ifndef NETSPARSE_SNIC_IDX_FILTER_HH
@@ -80,16 +79,6 @@ class IdxFilter
      * value is exported to the stats document).
      */
     std::uint64_t sizeBytes() const { return (numIdxs_ + 63) / 64 * 8; }
-
-    /** Simulator-resident bytes (pages actually materialized). */
-    std::uint64_t
-    residentBytes() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &pg : pages_)
-            n += pg ? sizeof(Page) : 0;
-        return n;
-    }
 
     std::uint64_t numIdxs() const { return numIdxs_; }
 

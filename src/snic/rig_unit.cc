@@ -248,11 +248,6 @@ RigClientUnit::onResponse(const PropertyRequest &pr)
         attempts = it->second.attempts;
         inflight_.erase(it);
     }
-    // The stamps describe the accepted attempt; the reqId's other
-    // attempts will never be accepted, so they leave the board too.
-    PrStamps stamps;
-    if (StampBoard *board = eq_.stampBoard())
-        stamps = board->accept(pr, attempts);
 
     std::uint32_t served = pending_.complete(pr.idx);
     if (served == 0) {
@@ -262,15 +257,17 @@ RigClientUnit::onResponse(const PropertyRequest &pr)
         return;
     }
     ++stats_.responses;
-    if (PrLatencyStats *lat = ctx_.prLatency())
-        lat->record(stamps, pr, eq_.now());
+    // The stamps recorded are the accepted attempt's; the reqId's other
+    // attempts will never be accepted, so they leave the board too.
+    if (StampBoard *board = eq_.stampBoard())
+        board->accept(pr, attempts, eq_.now());
     if (pr.traced) {
         if (SpanBuffer *sb = eq_.spans()) {
             std::uint64_t id = sb->idOf(pr);
             sb->record(id, SpanStage::Retire, ctx_.spanComp(), eq_.now());
-            sb->retire(SpanRetire{id, stamps.issueTick, eq_.now(),
-                                  pr.tenant, pr.src, pr.srcTid, pr.reqId,
-                                  pr.servedByCache, attempts});
+            sb->retire(SpanRetire{id, sb->issueTickOf(id, pr.attempt),
+                                  eq_.now(), pr.tenant, pr.src, pr.srcTid,
+                                  pr.reqId, pr.servedByCache, attempts});
         }
     }
 

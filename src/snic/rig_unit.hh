@@ -37,7 +37,6 @@
 
 namespace netsparse {
 
-struct PrLatencyStats;
 class TraceWriter;
 
 /**
@@ -143,12 +142,6 @@ class SnicContext
         static const std::string fallback = "snic";
         return fallback;
     }
-
-    /**
-     * The node's PR latency collector, or null when lifecycle
-     * accounting is off (the telemetry-disabled default).
-     */
-    virtual PrLatencyStats *prLatency() { return nullptr; }
 
     /** This SNIC's component id in the run's span name table
      *  (sim/span.hh); only consulted for traced PRs. */

@@ -1,5 +1,6 @@
 #include "snic/snic.hh"
 
+#include "net/pr_latency.hh"
 #include "sim/logging.hh"
 #include "sim/span.hh"
 #include "sim/trace.hh"
@@ -29,7 +30,7 @@ Snic::Snic(EventQueue &eq, SnicConfig cfg, NodeId self,
             StampBoard *board = eq_.stampBoard();
             if (board && pkt.type == PrType::Read) {
                 // Lifecycle stamp: the reads leave the SNIC onto the
-                // NIC egress link (net/pr_latency.hh).
+                // NIC egress link (StampBoard).
                 for (const auto &pr : pkt.prs)
                     board->stampEgress(pr, eq_.now());
             }
@@ -45,13 +46,6 @@ Snic::Snic(EventQueue &eq, SnicConfig cfg, NodeId self,
             egress_->send(std::move(pkt));
         },
         name_ + ".concat");
-}
-
-void
-Snic::enablePrLatency()
-{
-    if (!prLatency_)
-        prLatency_ = std::make_unique<PrLatencyStats>();
 }
 
 std::uint64_t
@@ -282,13 +276,6 @@ Snic::exportStats(StatRegistry &reg, const std::string &prefix) const
     reg.set(prefix + ".rx.responses",
             static_cast<double>(rxResponses_));
     reg.set(prefix + ".rx.reads", static_cast<double>(rxReads_));
-
-    if (prLatency_) {
-        // Lifecycle keys exist only when telemetry enabled the
-        // collector, keeping the default document byte-identical.
-        reg.setAverage(prefix + ".prLatency.totalNs",
-                       prLatency_->totalAvgNs);
-    }
 }
 
 } // namespace netsparse

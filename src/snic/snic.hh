@@ -16,7 +16,6 @@
 
 #include "concat/concatenator.hh"
 #include "net/link.hh"
-#include "net/pr_latency.hh"
 #include "net/protocol.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -125,21 +124,11 @@ class Snic : public PacketSink, public SnicContext
     IdxFilter &idxFilter() override { return filter_; }
     PcieModel &pcie() override { return pcie_; }
     const std::string &nodeName() const override { return name_; }
-    PrLatencyStats *prLatency() override { return prLatency_.get(); }
     std::uint32_t spanComp() const override { return spanComp_; }
 
     /** Set this SNIC's id in the run's span component name table
      *  (sim/span.hh); assigned by the scheduler. */
     void setSpanComp(std::uint32_t comp) { spanComp_ = comp; }
-
-    /**
-     * Allocate the PR latency collector: the clients start recording
-     * the lifecycle stamps of accepted responses (the stamp board that
-     * holds them is the event queue's, net/pr_latency.hh). Left off
-     * (null) unless telemetry is enabled, so the default fast path and
-     * stats document are untouched.
-     */
-    void enablePrLatency();
 
     // --- Statistics ---
 
@@ -193,7 +182,6 @@ class Snic : public PacketSink, public SnicContext
     std::vector<std::unique_ptr<RigClientUnit>> clients_;
     std::vector<std::unique_ptr<RigServerUnit>> servers_;
     std::unique_ptr<Concatenator> concat_;
-    std::unique_ptr<PrLatencyStats> prLatency_;
     Link *egress_ = nullptr;
     std::uint32_t nextServer_ = 0; // Q Control round-robin pointer
     /** Span component id (sim/span.hh); meaningful only when spans on. */

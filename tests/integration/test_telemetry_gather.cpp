@@ -12,8 +12,10 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/json_lite.hh"
+#include "net/pr_latency.hh"
 #include "runtime/cluster.hh"
 #include "sim/span.hh"
 #include "sim/stats_export.hh"
@@ -83,6 +85,13 @@ prLatencyLines(const std::string &statsJson)
         if (line.rfind("  \"cluster.prLatency.", 0) == 0)
             out += line + "\n";
     return out;
+}
+
+/** The number after the first @p key in @p text (e.g. "\"src\":"). */
+std::uint64_t
+numberAfter(const std::string &text, const std::string &key)
+{
+    return std::stoull(text.substr(text.find(key) + key.size(), 24));
 }
 
 } // namespace
@@ -190,7 +199,11 @@ TEST(TelemetryGather, StatsDocumentGainsPrLatencyOnlyWhenEnabled)
  * them, so a read can time out, be re-sent, and still have its first
  * attempt answer first; the re-send's answer is then suppressed as a
  * duplicate. The latency decomposition and the 1/1 span document of
- * that run are pinned, at 1 and 2 shards.
+ * that run are pinned, at 1 and 2 shards. The two lifecycle systems
+ * share no state, yet describe the same responses: each accepted
+ * response is one span, whose issue-to-retire total is the sample the
+ * latency collector took; and the span document is the same when
+ * telemetry is off.
  */
 TEST(TelemetryGather, LatencyStampsFollowTheAcceptedAttempt)
 {
@@ -205,20 +218,28 @@ TEST(TelemetryGather, LatencyStampsFollowTheAcceptedAttempt)
                                "degradeFactor:0.02");
         cfg.spans.sampleEvery = 1;
 
-        StatsExport stats;
-        stats.setCollect(true);
-        StatsExport::Bind statsBind(stats);
-        TelemetrySink sink;
-        sink.setCollect(true);
-        TelemetrySink::Bind telemetryBind(sink);
-        SpanSink spanSink;
-        spanSink.setCollect(true);
-        SpanSink::Bind spanBind(spanSink);
-        GatherRunResult r = ClusterSim(cfg).runGather(m, part, 16);
-        EXPECT_EQ(r.simShards, shards);
+        // Spans are captured in both runs; telemetry only when asked.
+        struct Docs
+        {
+            std::string stats, spans;
+        };
+        auto run = [&](bool telemetry) {
+            StatsExport stats;
+            stats.setCollect(true);
+            StatsExport::Bind statsBind(stats);
+            TelemetrySink sink;
+            sink.setCollect(telemetry);
+            TelemetrySink::Bind telemetryBind(sink);
+            SpanSink spanSink;
+            spanSink.setCollect(true);
+            SpanSink::Bind spanBind(spanSink);
+            GatherRunResult r = ClusterSim(cfg).runGather(m, part, 16);
+            EXPECT_EQ(r.simShards, shards);
+            return Docs{stats.toJson(), spanSink.toJson()};
+        };
+        const Docs on = run(true);
 
-        const std::string json = stats.toJson();
-        jsonlite::Value doc = jsonlite::parse(json);
+        jsonlite::Value doc = jsonlite::parse(on.stats);
         const jsonlite::Value &st = doc.at("runs").at(0).at("stats");
         auto value = [&](const char *key) {
             return st.at(key).at("value").number;
@@ -229,9 +250,48 @@ TEST(TelemetryGather, LatencyStampsFollowTheAcceptedAttempt)
         // keys or drops attempts differently changes them.
         EXPECT_EQ(value("cluster.prLatency.responses"), 20196.0);
         EXPECT_EQ(value("cluster.prLatency.cacheServed"), 637.0);
-        EXPECT_EQ(fnv1a(prLatencyLines(json)), 0x5543413fe31e6e1full)
+        EXPECT_EQ(fnv1a(prLatencyLines(on.stats)), 0x5543413fe31e6e1full)
             << shards << " shards";
-        EXPECT_EQ(fnv1a(spanSink.toJson()), 0x81bb01d6c43016cbull)
+        EXPECT_EQ(fnv1a(on.spans), 0x81bb01d6c43016cbull)
             << shards << " shards";
+
+        // The span document reproduces the collectors: as many spans
+        // as responses, their totals binned on the collectors' geometry
+        // fill cluster.prLatency.totalNs bucket for bucket, and each
+        // node retired as many spans as its collector counted. Each
+        // span's summary is one line of the document.
+        EXPECT_EQ(static_cast<double>(
+                      numberAfter(on.spans, "\"recordedSpans\":")),
+                  value("cluster.prLatency.responses"));
+        Histogram totals(PrLatencyStats::histLoNs, PrLatencyStats::histHiNs,
+                         PrLatencyStats::histBuckets);
+        std::vector<double> perNode(cfg.numNodes, 0.0);
+        std::istringstream lines(on.spans);
+        for (std::string line; std::getline(lines, line);) {
+            if (line.rfind("{\"spanId\":", 0) != 0)
+                continue;
+            totals.sample(
+                ticks::toNs(numberAfter(line, "\"totalTicks\":")));
+            ++perNode.at(numberAfter(line, "\"src\":"));
+        }
+        const auto &buckets =
+            st.at("cluster.prLatency.totalNs").at("buckets").array;
+        ASSERT_EQ(buckets.size(), totals.numBuckets());
+        for (std::size_t b = 0; b < buckets.size(); ++b)
+            EXPECT_EQ(buckets[b].number,
+                      static_cast<double>(totals.bucket(b)))
+                << "bucket " << b << ", " << shards << " shards";
+        for (NodeId n = 0; n < cfg.numNodes; ++n) {
+            const std::string key =
+                "node" + std::to_string(n) + ".snic.prLatency.totalNs";
+            EXPECT_EQ(st.at(key).at("count").number, perNode[n])
+                << key << ", " << shards << " shards";
+        }
+
+        // Spans take their issue ticks from their own events, so a run
+        // without telemetry (and so without a stamp board) keeps the
+        // same span document.
+        EXPECT_EQ(fnv1a(run(false).spans), 0x81bb01d6c43016cbull)
+            << "telemetry off, " << shards << " shards";
     }
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * The PR lifecycle stamp board (net/pr_latency.hh): stamps are kept per
- * attempt, the accepted attempt's stamps reach the latency collector,
- * and an answered reqId or a failed command leaves nothing behind.
+ * attempt, the accepted attempt's stamps reach its slice's latency
+ * collector, and an answered reqId or a failed command leaves nothing
+ * behind.
  */
 
 #include <gtest/gtest.h>
@@ -26,49 +27,74 @@ attemptOf(std::uint32_t reqId, std::uint8_t attempt,
     return pr;
 }
 
+/** True when @p a and @p b hold the same samples in every stage. */
+bool
+sameStages(const PrLatencyStats &a, const PrLatencyStats &b)
+{
+    for (const Histogram PrLatencyStats::*stage :
+         {&PrLatencyStats::nicNs, &PrLatencyStats::requestNetNs,
+          &PrLatencyStats::cacheNs, &PrLatencyStats::remoteNs,
+          &PrLatencyStats::responseNetNs, &PrLatencyStats::totalNs})
+        for (std::size_t i = 0; i < (a.*stage).numBuckets(); ++i)
+            if ((a.*stage).bucket(i) != (b.*stage).bucket(i))
+                return false;
+    return a.responses == b.responses && a.cacheServed == b.cacheServed;
+}
+
 } // namespace
 
 TEST(StampBoard, StampsFollowTheAcceptedAttempt)
 {
-    StampBoard board;
-    board.issue(attemptOf(4, 0), 100);
-    board.stampEgress(attemptOf(4, 0), 150);
-    board.issue(attemptOf(4, 1), 300);
-    board.stampEgress(attemptOf(4, 1), 320);
-    board.stampTorIngress(attemptOf(4, 0), 400);
-    EXPECT_EQ(board.size(), 2u);
+    const Tick ns = ticks::ns;
+    StampBoard board(8, 2, 1);
+    board.issue(attemptOf(4, 0), 100 * ns);
+    board.stampEgress(attemptOf(4, 0), 150 * ns);
+    board.issue(attemptOf(4, 1), 300 * ns);
+    board.stampEgress(attemptOf(4, 1), 320 * ns);
+    board.stampTorIngress(attemptOf(4, 0), 400 * ns);
 
-    // The first attempt answered first: its stamps, not the latest.
-    PrStamps s = board.accept(attemptOf(4, 0), 1);
-    EXPECT_EQ(s.issueTick, 100u);
-    EXPECT_EQ(s.egressTick, 150u);
-    EXPECT_EQ(s.torIngressTick, 400u);
-    EXPECT_EQ(board.size(), 0u);
+    // The first attempt answered first: its stamps, not the latest,
+    // reach node 7's tenant-1 collector.
+    board.accept(attemptOf(4, 0), 1, 1000 * ns);
+    PrLatencyStats want;
+    want.record(PrStamps{100 * ns, 150 * ns, 400 * ns}, attemptOf(4, 0),
+                1000 * ns);
+    EXPECT_TRUE(sameStages(board.latency(7, 1), want));
+    EXPECT_EQ(board.latency(7, 0).responses, 0u);
 
-    // The retransmit's copy is still in the fabric: its later stamps
-    // and its duplicate answer find nothing.
-    board.stampTorIngress(attemptOf(4, 1), 500);
-    EXPECT_EQ(board.size(), 0u);
-    EXPECT_EQ(board.accept(attemptOf(4, 1), 1).issueTick, 0u);
+    // Both attempts left the board: the retransmit's copy, still in
+    // the fabric, and a second answer to either find nothing.
+    board.stampTorIngress(attemptOf(4, 1), 500 * ns);
+    board.accept(attemptOf(4, 1), 1, 1100 * ns);
+    board.accept(attemptOf(4, 0), 1, 1200 * ns);
+    EXPECT_TRUE(sameStages(board.latency(7, 1), want));
 }
 
 TEST(StampBoard, GrowsWithTheAttemptsInFlightAndDropsAFailedClient)
 {
-    StampBoard board;
+    const Tick ns = ticks::ns;
+    StampBoard board(8, 2, 2);
     const std::uint32_t n = 5000; // several doublings past the start
     for (std::uint32_t r = 0; r < n; ++r) {
-        board.issue(attemptOf(r, 0, 0), 10 + r);
-        board.issue(attemptOf(r, 0, 1), 20 + r);
+        board.issue(attemptOf(r, 0, 0), (10 + r) * ns);
+        board.issue(attemptOf(r, 0, 1), (20 + r) * ns);
     }
-    EXPECT_EQ(board.size(), 2u * n);
 
     board.dropClient(1, 7, 0);
-    EXPECT_EQ(board.size(), n);
     for (std::uint32_t r = 0; r < n; ++r) {
-        EXPECT_EQ(board.accept(attemptOf(r, 0, 1), 0).issueTick, 20 + r);
-        EXPECT_EQ(board.accept(attemptOf(r, 0, 0), 0).issueTick, 0u);
+        board.accept(attemptOf(r, 0, 1), 0, (1020 + r) * ns);
+        board.accept(attemptOf(r, 0, 0), 0, (1010 + r) * ns);
     }
-    EXPECT_EQ(board.size(), 0u);
+    // Client 1 kept every issue tick; the dropped client 0 has none.
+    const PrLatencyStats &lat = board.latency(7, 1);
+    EXPECT_EQ(lat.responses, n);
+    EXPECT_DOUBLE_EQ(lat.totalAvgNs.min(), 1000.0);
+    EXPECT_DOUBLE_EQ(lat.totalAvgNs.max(), 1000.0);
+
+    // Every answered reqId left the board.
+    for (std::uint32_t r = 0; r < n; ++r)
+        board.accept(attemptOf(r, 0, 1), 0, (2020 + r) * ns);
+    EXPECT_EQ(lat.responses, n);
 }
 
 TEST(PrLatencyStats, RecordsTheStagesBetweenStamps)

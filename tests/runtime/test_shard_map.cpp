@@ -186,6 +186,9 @@ TEST(ResolveShardCount, AutoPicksRacksCappedByHardware)
 
 TEST(ResolveShardCount, RejectsGarbage)
 {
-    ScopedShardEnv env("zero");
-    EXPECT_THROW(resolveShardCount(0, 8), std::logic_error);
+    // A malformed value is a user error (fatal), not a simulator bug.
+    for (const char *bad : {"zero", "2x", "0", "-2"}) {
+        ScopedShardEnv env(bad);
+        EXPECT_THROW(resolveShardCount(0, 8), std::runtime_error) << bad;
+    }
 }
