@@ -34,9 +34,8 @@ runOnce(const Csr &m, const Partition1D &part, ClusterConfig cfg,
 } // namespace
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     std::uint32_t nodes = benchNodes();
     double scale = benchScale(1.0);
     banner("Design-choice and extension ablations",

@@ -19,72 +19,12 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/span.hh"
-#include "sim/stats_export.hh"
+#include "sim/outputs.hh"
 #include "sim/sweep.hh"
-#include "sim/telemetry.hh"
-#include "sim/trace.hh"
 #include "sparse/generators.hh"
 #include "sparse/partition.hh"
 
 namespace netsparse::bench {
-
-/**
- * Wire the shared observability flags into a bench binary: every bench
- * accepts `--trace-out FILE` (Chrome-trace/Perfetto event trace),
- * `--stats-json FILE` (JSON snapshot of every cluster run's stats
- * registry, one "runs[]" entry per runGather) and `--telemetry-out
- * FILE` (interval-telemetry timeline) and `--spans-out FILE` (per-PR
- * causal span trees at the default 1/64 sampling). The environment
- * variables NETSPARSE_TRACE_OUT / NETSPARSE_STATS_JSON /
- * NETSPARSE_TELEMETRY_OUT / NETSPARSE_SPANS_OUT are honored as
- * fallbacks so CI can collect artifacts without touching command
- * lines. An unwritable path exits 1 up front, naming the flag or the
- * variable that supplied it, like netsparse_sim. Outputs are finalized
- * at process exit. See docs/observability.md for the schemas.
- */
-inline void
-initObservability(int argc, char **argv)
-{
-    struct Output
-    {
-        const char *flag, *env;
-        bool (*open)(const std::string &path);
-    };
-    const Output outputs[] = {
-        {"--trace-out", "NETSPARSE_TRACE_OUT",
-         [](const std::string &p) {
-             return TraceWriter::instance().open(p);
-         }},
-        {"--stats-json", "NETSPARSE_STATS_JSON",
-         [](const std::string &p) {
-             return StatsExport::instance().setOutputPath(p);
-         }},
-        {"--telemetry-out", "NETSPARSE_TELEMETRY_OUT",
-         [](const std::string &p) {
-             return TelemetrySink::instance().setOutputPath(p);
-         }},
-        {"--spans-out", "NETSPARSE_SPANS_OUT",
-         [](const std::string &p) {
-             return SpanSink::instance().setOutputPath(p);
-         }},
-    };
-    for (const Output &o : outputs) {
-        const char *source = o.env;
-        const char *path = std::getenv(o.env);
-        for (int i = 1; i + 1 < argc; ++i) {
-            if (std::string(argv[i]) == o.flag) {
-                source = o.flag;
-                path = argv[i + 1];
-            }
-        }
-        if (path && *path && !o.open(path)) {
-            std::fprintf(stderr, "cannot open %s output %s\n", source,
-                         path);
-            std::exit(1);
-        }
-    }
-}
 
 /** Scale factor for benchmark matrices (env NETSPARSE_BENCH_SCALE). */
 inline double
@@ -133,5 +73,25 @@ banner(const char *experiment, const char *paper_ref)
 }
 
 } // namespace netsparse::bench
+
+/** The bench itself: main() once the outputs are open, with @p argv
+ *  rid of their flags. */
+int benchMain(int argc, char **argv);
+
+/**
+ * Every bench's main, in the manner of gtest_main: open the
+ * observability outputs named by `--trace-out`, `--stats-json`,
+ * `--telemetry-out` and `--spans-out` or their NETSPARSE_* variables
+ * (sim/outputs.hh), run benchMain(), and end a fatal() user error with
+ * exit status 1. The documents are written at process exit.
+ */
+int
+main(int argc, char **argv)
+try {
+    netsparse::openOutputs(argc, argv);
+    return benchMain(argc, argv);
+} catch (const netsparse::FatalError &) {
+    return 1; // fatal() has printed the message
+}
 
 #endif // NETSPARSE_BENCH_COMMON_HH

@@ -13,9 +13,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Ideal SAOpt goodput vs cores per node", "Figure 10");
     BaselineParams p;
 

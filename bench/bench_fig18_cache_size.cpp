@@ -16,9 +16,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     std::uint32_t nodes = benchNodes();
     double scale = benchScale(2.0);
     const std::uint32_t k = 16;

@@ -17,9 +17,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     std::uint32_t nodes = benchNodes();
     double scale = benchScale();
     banner("Active nodes vs normalized execution time", "Figure 19");

@@ -38,9 +38,8 @@ printReport(const char *title, const HwReport &r)
 } // namespace
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Hardware overheads of the NetSparse extensions",
            "Figure 20 and Table 9");
 

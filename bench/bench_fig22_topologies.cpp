@@ -17,9 +17,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     double scale = benchScale(1.0);
     const std::uint32_t nodes = 128; // HyperX/Dragonfly configs are fixed
     const std::uint32_t k = 16;

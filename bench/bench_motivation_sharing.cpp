@@ -13,9 +13,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Intra-rack property sharing potential", "Section 3, bullet 6");
     std::uint32_t nodes = benchNodes();
     std::uint32_t rack = 16;

@@ -34,9 +34,8 @@ struct Scenario
 } // namespace
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Multi-tenant interference: FIFO vs fair queueing",
            "no single figure; Section 2 shared-fabric motivation");
     std::uint32_t nodes = benchNodes(16);

@@ -27,11 +27,12 @@
  * preset): one streamed build, moved into one run.
  *
  * Output path: --out FILE, else NETSPARSE_PERF_OUT, else
- * ./BENCH_perf.json. Exit codes: 0 ok, 1 output unwritable, 2
- * non-deterministic. See docs/performance.md.
+ * ./BENCH_perf.json. Exit codes: 0 ok, 1 output unwritable or a
+ * malformed number, 2 non-deterministic. See docs/performance.md.
  */
 
 #include <chrono>
+#include <climits>
 #include <ctime>
 #include <string>
 #include <thread>
@@ -122,9 +123,8 @@ runPhase(const char *label, const ClusterConfig &base, const Csr &m,
 } // namespace
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
-    initObservability(argc, argv);
     std::string out = "BENCH_perf.json";
     if (const char *env = std::getenv("NETSPARSE_PERF_OUT"); env && *env)
         out = env;
@@ -133,7 +133,8 @@ main(int argc, char **argv)
         if (std::string(argv[i]) == "--out")
             out = argv[i + 1];
         else if (std::string(argv[i]) == "--repeats")
-            repeats = std::max(1, std::atoi(argv[i + 1]));
+            repeats = static_cast<int>(
+                parseUint("--repeats", argv[i + 1], 1, INT_MAX));
     }
 
     const std::uint32_t nodes = 128;
@@ -142,13 +143,11 @@ main(int argc, char **argv)
     const std::uint32_t racks = 8; // 128 nodes / 16 per rack
     const std::uint32_t host_cores =
         std::max(1u, std::thread::hardware_concurrency());
-    std::uint32_t par_shards = std::min(racks, host_cores);
-    bool shards_forced = false;
-    if (const char *env = std::getenv("NETSPARSE_PERF_SHARDS");
-        env && *env) {
-        par_shards = std::max(1, std::atoi(env));
-        shards_forced = true;
-    }
+    const std::uint32_t forced_shards =
+        envUint("NETSPARSE_PERF_SHARDS", 0, 1); // 0: unset
+    const bool shards_forced = forced_shards > 0;
+    const std::uint32_t par_shards =
+        shards_forced ? forced_shards : std::min(racks, host_cores);
     // One core cannot exhibit a parallel speedup - the workers would
     // timeslice it - so skip the phase unless the user forced a shard
     // count, and report wall_speedup as null.
@@ -215,15 +214,10 @@ main(int argc, char **argv)
     const double paper_scale = 28.0;
     if (paper) {
         banner("Paper-scale smoke (streamed)", "no figure");
-        GatherWorkload work;
-        {
-            PartitionedMatrix pm = buildPartitionedBenchmark(
-                MatrixKind::Arabic, paper_scale, paper_nodes);
-            paper_nnz = pm.nnz;
-            work.numIdxs = pm.cols;
-            work.part = pm.part;
-            work.streams = pm.takeStreams();
-        }
+        PartitionedMatrix pm = buildPartitionedBenchmark(
+            MatrixKind::Arabic, paper_scale, paper_nodes);
+        paper_nnz = pm.nnz;
+        GatherWorkload work = GatherWorkload::take(std::move(pm));
         std::printf("(arabic, %u nodes, matrix scale %.1f, %llu nnz, "
                     "batched events)\n\n",
                     paper_nodes, paper_scale,

@@ -21,9 +21,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Useful vs redundant property transfers (SU and SA)",
            "Table 1");
     std::uint32_t nodes = benchNodes();

@@ -16,9 +16,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Naive SA transfer rate on 2 nodes (K=32)", "Table 2");
     double scale = benchScale();
     NaiveSaParams p;

@@ -17,9 +17,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Header share of SA traffic vs property width", "Table 3");
     ProtocolParams proto;
 

@@ -15,9 +15,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     banner("Temporal remote destination locality", "Table 4");
     std::uint32_t nodes = benchNodes();
     double scale = benchScale();

@@ -19,9 +19,8 @@ using namespace netsparse;
 using namespace netsparse::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int, char **)
 {
-    initObservability(argc, argv);
     std::uint32_t nodes = benchNodes();
     double scale = benchScale(1.0);
     banner("Cumulative ablation vs SUOpt", "Table 8");

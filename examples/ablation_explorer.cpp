@@ -13,23 +13,26 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "baseline/baselines.hh"
 #include "runtime/cluster.hh"
+#include "sim/logging.hh"
 #include "sparse/generators.hh"
 
 using namespace netsparse;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string name = argc > 1 ? argv[1] : "arabic";
-    std::uint32_t k = argc > 2 ? std::atoi(argv[2]) : 16;
-    std::uint32_t nodes = argc > 3 ? std::atoi(argv[3]) : 32;
-    double scale = argc > 4 ? std::atof(argv[4]) : 0.25;
+    std::uint32_t k = argc > 2 ? static_cast<std::uint32_t>(parseUint(
+                                     "K", argv[2], 0, UINT32_MAX))
+                               : 16;
+    std::uint32_t nodes = argc > 3 ? static_cast<std::uint32_t>(parseUint(
+                                         "nodes", argv[3], 0, UINT32_MAX))
+                                   : 32;
+    double scale = argc > 4 ? parseNumber("scale", argv[4], true) : 0.25;
 
     MatrixKind kind = MatrixKind::Arabic;
     bool found = false;
@@ -76,4 +79,6 @@ main(int argc, char **argv)
                     double(su.commTicks) / r.commTicks, fc, ppp, cache);
     }
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has printed the message
 }

@@ -13,6 +13,7 @@
 #include "baseline/baselines.hh"
 #include "runtime/cluster.hh"
 #include "runtime/end_to_end.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sparse/generators.hh"
 #include "sparse/kernels.hh"
@@ -35,7 +36,7 @@ makeProperties(std::uint32_t count, std::uint32_t k)
 
 int
 main()
-{
+try {
     const std::uint32_t k = 16;
     const std::uint32_t nodes = 32;
 
@@ -104,4 +105,6 @@ main()
     std::printf("SUOpt software speedup  : %.1fx\n",
                 double(t1) / rsu.totalTicks);
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has printed the message
 }

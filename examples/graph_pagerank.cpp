@@ -17,13 +17,14 @@
 #include <vector>
 
 #include "runtime/distributed_kernels.hh"
+#include "sim/logging.hh"
 #include "sparse/generators.hh"
 
 using namespace netsparse;
 
 int
 main()
-{
+try {
     const std::uint32_t nodes = 16;
     const std::uint32_t iterations = 5;
     const float damping = 0.85f;
@@ -83,4 +84,6 @@ main()
     std::printf("\ntotal gather time: %.1f us over %u iterations\n",
                 ticks::toNs(total_comm) / 1e3, iterations);
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has printed the message
 }

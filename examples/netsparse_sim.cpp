@@ -70,23 +70,25 @@
  *                          retroactively)
  *     --span-tail-threshold-us US
  *                          also keep every span slower than US
+ *
+ * The four output flags fall back to their NETSPARSE_* environment
+ * variables, as in every bench (sim/outputs.hh). Exit status: 0 on
+ * success, 1 on a fatal error (a malformed number, an unreadable
+ * matrix, an unwritable output), 2 on a usage error.
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "runtime/cluster.hh"
 #include "runtime/job_scheduler.hh"
+#include "sim/logging.hh"
+#include "sim/outputs.hh"
 #include "sim/span.hh"
 #include "sim/stats.hh"
-#include "sim/stats_export.hh"
 #include "sim/telemetry.hh"
-#include "sim/trace.hh"
 #include "sparse/generators.hh"
 #include "sparse/mmio.hh"
 #include "sparse/stream_gen.hh"
@@ -125,58 +127,29 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/**
- * Checked unsigned-integer parse for CLI flags. std::atoi silently
- * returns 0 on garbage and accepts negatives, which downstream code
- * then treats as valid configuration; here anything that is not a
- * plain non-negative integer fails loudly, naming the flag.
- */
-std::uint64_t
-parseUint(const char *flag, const char *text)
+/** A usage error naming @p flag, whose value @p got is not @p want. */
+[[noreturn]] void
+badValue(const char *flag, const char *want, const std::string &got)
 {
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 0);
-    if (errno != 0 || end == text || *end != '\0' ||
-        std::strchr(text, '-') != nullptr) {
-        std::fprintf(stderr,
-                     "%s: expected a non-negative integer, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return v;
+    std::fprintf(stderr, "%s: expected %s, got '%s'\n", flag, want,
+                 got.c_str());
+    std::exit(2);
 }
 
-/**
- * Checked floating-point parse for CLI flags, the std::atof
- * counterpart of parseUint: only a finite number >= 0 (> 0 when
- * @p positive) is accepted; anything else exits 2 naming the flag.
- */
-double
-parseDouble(const char *flag, const char *text, bool positive = false)
+/** A 32-bit integer flag. */
+std::uint32_t
+parseUint32(const char *flag, const char *text)
 {
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v) ||
-        v < 0.0 || (positive && v == 0.0)) {
-        std::fprintf(stderr, "%s: expected a %s number, got '%s'\n", flag,
-                     positive ? "positive" : "non-negative", text);
-        std::exit(2);
-    }
-    return v;
+    return static_cast<std::uint32_t>(parseUint(flag, text, 0, UINT32_MAX));
 }
 
-/** A parseDouble flag in simulated microseconds, as ticks. */
+/** A parseNumber() flag in simulated microseconds, as ticks. */
 Tick
 parseMicros(const char *flag, const char *text)
 {
-    double t = parseDouble(flag, text) * static_cast<double>(ticks::us);
-    if (t >= 0x1p64) { // past the 64-bit Tick range
-        std::fprintf(stderr, "%s: %s us overflows the simulated clock\n",
-                     flag, text);
-        std::exit(2);
-    }
+    double t = parseNumber(flag, text) * static_cast<double>(ticks::us);
+    if (t >= 0x1p64) // past the 64-bit Tick range
+        ns_fatal(flag, ": ", text, " us overflows the simulated clock");
     return static_cast<Tick>(t);
 }
 
@@ -184,7 +157,12 @@ parseMicros(const char *flag, const char *text)
 
 int
 main(int argc, char **argv)
-{
+try {
+    // Every output path is probe-opened before any work: a path into a
+    // missing directory fails here with a clear message instead of
+    // wasting the whole run on a silent empty result.
+    openOutputs(argc, argv);
+
     std::string matrix_arg = "arabic";
     double scale = 1.0;
     std::uint32_t nodes = 128;
@@ -199,10 +177,9 @@ main(int argc, char **argv)
     bool stream = false, batched_events = false;
     bool memory_stats = false;
     bool dump_stats = false;
-    std::string stats_json, trace_out, faults_spec, telemetry_out;
+    std::string faults_spec;
     Tick telemetry_interval = 10 * ticks::us;
-    std::string spans_out;
-    std::uint64_t span_sample = 0, span_tail_keep = 0;
+    std::uint32_t span_sample = 0, span_tail_keep = 0;
     Tick span_tail_threshold = 0;
     bool span_knob = false;
     std::uint32_t num_jobs = 1;
@@ -219,19 +196,21 @@ main(int argc, char **argv)
         if (a == "--matrix")
             matrix_arg = next();
         else if (a == "--scale")
-            scale = parseDouble("--scale", next(), true);
+            scale = parseNumber("--scale", next(), true);
         else if (a == "--nodes")
-            nodes = static_cast<std::uint32_t>(
-                parseUint("--nodes", next()));
+            nodes = parseUint32("--nodes", next());
         else if (a == "--k")
-            k = static_cast<std::uint32_t>(parseUint("--k", next()));
-        else if (a == "--stage")
-            stage = static_cast<int>(parseUint("--stage", next()));
-        else if (a == "--topology")
+            k = parseUint32("--k", next());
+        else if (a == "--stage") {
+            const char *v = next();
+            std::uint32_t s = parseUint32("--stage", v);
+            if (s > 4)
+                badValue("--stage", "an ablation stage 0..4", v);
+            stage = static_cast<int>(s);
+        } else if (a == "--topology")
             topology = next();
         else if (a == "--batch")
-            batch = static_cast<std::uint32_t>(
-                parseUint("--batch", next()));
+            batch = parseUint32("--batch", next());
         else if (a == "--adaptive")
             adaptive = true;
         else if (a == "--virtual-cqs")
@@ -243,8 +222,7 @@ main(int argc, char **argv)
         else if (a == "--partition")
             partition = next();
         else if (a == "--shards")
-            shards = static_cast<std::uint32_t>(
-                parseUint("--shards", next()));
+            shards = parseUint32("--shards", next());
         else if (a == "--stream")
             stream = true;
         else if (a == "--batched-events")
@@ -257,22 +235,14 @@ main(int argc, char **argv)
             faults_spec = a.substr(9);
         else if (a == "--stats")
             dump_stats = true;
-        else if (a == "--stats-json")
-            stats_json = next();
-        else if (a == "--trace-out")
-            trace_out = next();
-        else if (a == "--telemetry-out")
-            telemetry_out = next();
         else if (a == "--telemetry-interval")
             telemetry_interval =
                 parseMicros("--telemetry-interval", next());
-        else if (a == "--spans-out")
-            spans_out = next();
         else if (a == "--span-sample") {
-            span_sample = parseUint("--span-sample", next());
+            span_sample = parseUint32("--span-sample", next());
             span_knob = true;
         } else if (a == "--span-tail-keep") {
-            span_tail_keep = parseUint("--span-tail-keep", next());
+            span_tail_keep = parseUint32("--span-tail-keep", next());
             span_knob = true;
         } else if (a == "--span-tail-threshold-us") {
             span_tail_threshold =
@@ -280,8 +250,7 @@ main(int argc, char **argv)
             span_knob = true;
         }
         else if (a == "--jobs")
-            num_jobs = static_cast<std::uint32_t>(
-                parseUint("--jobs", next()));
+            num_jobs = parseUint32("--jobs", next());
         else if (a == "--background")
             background_spec = next();
         else if (a.rfind("--background=", 0) == 0)
@@ -293,29 +262,49 @@ main(int argc, char **argv)
         else
             usage(argv[0]);
     }
-    if (num_jobs < 1)
+
+    // --- Every check before any work ---
+    if (num_jobs < 1 || k < 1 || k > 128 || nodes < 2)
         usage(argv[0]);
     if (switch_queue != "fifo" && switch_queue != "fq")
         usage(argv[0]);
     if (cache_mode != "shared" && cache_mode != "partitioned")
         usage(argv[0]);
+    if (partition != "rows" && partition != "nnz")
+        badValue("--partition", "rows or nnz", partition);
     BackgroundTrafficConfig bg;
     if (!background_spec.empty() &&
-        !BackgroundTrafficConfig::parse(background_spec, bg)) {
+        !BackgroundTrafficConfig::parse(background_spec, bg))
+        badValue("--background",
+                 "pattern:load[:packets[:bytes]] with pattern in "
+                 "incast|alltoall|storage",
+                 background_spec);
+    // Multi-tenant runs (several jobs, or one job sharing the fabric
+    // with background traffic) export the cluster.tenant<t>.* schema,
+    // so the flat --stats dump of legacy cluster keys does not apply.
+    const bool multi = num_jobs > 1 || bg.enabled();
+    if (multi && dump_stats) {
         std::fprintf(stderr,
-                     "--background: expected pattern:load[:packets"
-                     "[:bytes]] with pattern in incast|alltoall|"
-                     "storage, got '%s'\n",
-                     background_spec.c_str());
+                     "--stats dumps the single-job document; use "
+                     "--stats-json with --jobs/--background\n");
         return 2;
     }
-    if (k < 1 || k > 128 || nodes < 2)
-        usage(argv[0]);
 
-    // --- Workload ---
-    Csr m;
-    GatherWorkload work;
-    std::uint64_t mat_rows = 0, mat_cols = 0, mat_nnz = 0;
+    ClusterConfig cfg = defaultClusterConfig(nodes);
+    if (topology == "hyperx")
+        cfg.topology = TopologyKind::HyperX;
+    else if (topology == "dragonfly")
+        cfg.topology = TopologyKind::Dragonfly;
+    else if (topology != "leafspine")
+        badValue("--topology", "leafspine, hyperx or dragonfly", topology);
+    if (cfg.topology != TopologyKind::LeafSpine && nodes != 128) {
+        std::fprintf(stderr,
+                     "--topology: %s is a 128-node configuration, got "
+                     "--nodes %u\n",
+                     topology.c_str(), nodes);
+        return 2;
+    }
+
     bool named = false;
     MatrixKind named_kind = MatrixKind::Arabic;
     for (auto kind : allMatrixKinds()) {
@@ -324,59 +313,14 @@ main(int argc, char **argv)
             named_kind = kind;
         }
     }
-    if (stream) {
-        if (!named) {
-            std::fprintf(stderr,
-                         "--stream generates; it cannot read a .mtx "
-                         "file\n");
-            return 1;
-        }
-        if (partition == "nnz") {
-            std::fprintf(stderr,
-                         "--stream builds equal-rows partitions\n");
-            return 1;
-        }
-        PartitionedMatrix pm =
-            buildPartitionedBenchmark(named_kind, scale, nodes);
-        mat_rows = pm.rows;
-        mat_cols = pm.cols;
-        mat_nnz = pm.nnz;
-        work.numIdxs = pm.cols;
-        work.part = pm.part;
-        work.streams = pm.takeStreams();
-    } else {
-        if (named) {
-            m = makeBenchmarkMatrix(named_kind, scale);
-        } else {
-            Coo coo = readMatrixMarketFile(matrix_arg);
-            if (coo.rows != coo.cols) {
-                std::fprintf(stderr,
-                             "distributed gathers need a square "
-                             "matrix\n");
-                return 1;
-            }
-            m = Csr::fromCoo(coo);
-        }
-        mat_rows = m.rows;
-        mat_cols = m.cols;
-        mat_nnz = m.nnz();
-    }
-    Partition1D part;
-    if (!stream)
-        part = partition == "nnz" ? Partition1D::equalNnz(m, nodes)
-                                  : Partition1D::equalRows(m.rows, nodes);
+    if (stream && !named)
+        ns_fatal("--stream generates; it cannot read a .mtx file");
+    if (stream && partition == "nnz")
+        ns_fatal("--stream builds equal-rows partitions");
 
-    // --- Cluster ---
-    ClusterConfig cfg = defaultClusterConfig(nodes);
     if (stage >= 0)
         cfg.features = FeatureSet::ablationStage(
             static_cast<std::uint32_t>(stage));
-    if (topology == "hyperx")
-        cfg.topology = TopologyKind::HyperX;
-    else if (topology == "dragonfly")
-        cfg.topology = TopologyKind::Dragonfly;
-    else if (topology != "leafspine")
-        usage(argv[0]);
     cfg.host.batchSize = batch;
     if (adaptive) {
         cfg.host.policy = BatchPolicy::Adaptive;
@@ -397,30 +341,48 @@ main(int argc, char **argv)
     if (!faults_spec.empty())
         cfg.faults = FaultConfig::parse(faults_spec);
     cfg.telemetryInterval = telemetry_interval;
-    if (!telemetry_out.empty() && cfg.telemetryInterval == 0) {
-        std::fprintf(stderr,
-                     "--telemetry-out needs a positive "
-                     "--telemetry-interval\n");
-        return 1;
-    }
-    if (span_knob && spans_out.empty()) {
-        std::fprintf(stderr,
-                     "--span-sample/--span-tail-* need --spans-out\n");
-        return 1;
-    }
-    if (!spans_out.empty()) {
-        cfg.spans.sampleEvery = static_cast<std::uint32_t>(span_sample);
-        cfg.spans.tailKeep = static_cast<std::uint32_t>(span_tail_keep);
-        cfg.spans.tailThreshold = span_tail_threshold;
-        // A bare --spans-out leaves every knob zero; JobScheduler::run
-        // then records its representative 1/64 sample.
-        if (span_knob && !cfg.spans.enabled()) {
-            std::fprintf(stderr,
-                         "--spans-out: all span knobs are zero; nothing "
-                         "would be recorded\n");
-            return 1;
+    cfg.spans.sampleEvery = span_sample;
+    cfg.spans.tailKeep = span_tail_keep;
+    cfg.spans.tailThreshold = span_tail_threshold;
+
+    if (TelemetrySink::instance().enabled() && cfg.telemetryInterval == 0)
+        ns_fatal("--telemetry-out needs a positive --telemetry-interval");
+    if (span_knob && !SpanSink::instance().enabled())
+        ns_fatal("--span-sample/--span-tail-* need --spans-out");
+    // A bare --spans-out leaves every knob zero; JobScheduler::run then
+    // records its representative 1/64 sample.
+    if (span_knob && !cfg.spans.enabled())
+        ns_fatal("--spans-out: all span knobs are zero; nothing would be "
+                 "recorded");
+
+    // --- Workload ---
+    Csr m;
+    GatherWorkload work;
+    std::uint64_t mat_rows = 0, mat_cols = 0, mat_nnz = 0;
+    if (stream) {
+        PartitionedMatrix pm =
+            buildPartitionedBenchmark(named_kind, scale, nodes);
+        mat_rows = pm.rows;
+        mat_cols = pm.cols;
+        mat_nnz = pm.nnz;
+        work = GatherWorkload::take(std::move(pm));
+    } else {
+        if (named) {
+            m = makeBenchmarkMatrix(named_kind, scale);
+        } else {
+            Coo coo = readMatrixMarketFile(matrix_arg);
+            if (coo.rows != coo.cols)
+                ns_fatal("distributed gathers need a square matrix");
+            m = Csr::fromCoo(coo);
         }
+        mat_rows = m.rows;
+        mat_cols = m.cols;
+        mat_nnz = m.nnz();
     }
+    Partition1D part;
+    if (!stream)
+        part = partition == "nnz" ? Partition1D::equalNnz(m, nodes)
+                                  : Partition1D::equalRows(m.rows, nodes);
 
     std::printf("netsparse_sim: %s (%llu x %llu, %llu nnz%s), %u nodes, "
                 "K=%u, %s\n",
@@ -428,53 +390,11 @@ main(int argc, char **argv)
                 (unsigned long long)mat_cols, (unsigned long long)mat_nnz,
                 stream ? ", streamed" : "", nodes, k, topology.c_str());
 
-    // Every output path is probe-opened before the simulation starts:
-    // a path into a missing directory fails here with a clear message
-    // instead of wasting the whole run on a silent empty result.
-    if (!stats_json.empty() &&
-        !StatsExport::instance().setOutputPath(stats_json)) {
-        std::fprintf(stderr, "cannot open --stats-json output %s\n",
-                     stats_json.c_str());
-        return 1;
-    }
-    if (!trace_out.empty() && !TraceWriter::instance().open(trace_out)) {
-        std::fprintf(stderr, "cannot open --trace-out output %s\n",
-                     trace_out.c_str());
-        return 1;
-    }
-    if (!telemetry_out.empty() &&
-        !TelemetrySink::instance().setOutputPath(telemetry_out)) {
-        std::fprintf(stderr, "cannot open --telemetry-out output %s\n",
-                     telemetry_out.c_str());
-        return 1;
-    }
-    if (!spans_out.empty() &&
-        !SpanSink::instance().setOutputPath(spans_out)) {
-        std::fprintf(stderr, "cannot open --spans-out output %s\n",
-                     spans_out.c_str());
-        return 1;
-    }
-
-    // Multi-tenant runs (several jobs, or one job sharing the fabric
-    // with background traffic) export the cluster.tenant<t>.* schema,
-    // so the flat --stats dump of legacy cluster keys does not apply.
-    const bool multi = num_jobs > 1 || bg.enabled();
-    if (multi && dump_stats) {
-        std::fprintf(stderr,
-                     "--stats dumps the single-job document; use "
-                     "--stats-json with --jobs/--background\n");
-        return 2;
-    }
     auto make_work = [&]() {
         if (!stream)
             return GatherWorkload::slice(m, part);
-        PartitionedMatrix pm =
-            buildPartitionedBenchmark(named_kind, scale, nodes);
-        GatherWorkload w;
-        w.numIdxs = pm.cols;
-        w.part = pm.part;
-        w.streams = pm.takeStreams();
-        return w;
+        return GatherWorkload::take(
+            buildPartitionedBenchmark(named_kind, scale, nodes));
     };
     std::vector<JobSpec> specs(num_jobs);
     for (std::uint32_t j = 0; j < num_jobs; ++j) {
@@ -483,11 +403,6 @@ main(int argc, char **argv)
         specs[j].name = "job" + std::to_string(j);
     }
     MultiJobResult mr = JobScheduler(cfg).run(std::move(specs), bg);
-
-    TraceWriter::instance().close();
-    StatsExport::instance().writeFile();
-    TelemetrySink::instance().writeFile();
-    SpanSink::instance().writeFile();
 
     if (multi) {
         std::printf("\nmakespan           : %10.2f us  (%u jobs, %s "
@@ -569,4 +484,6 @@ main(int argc, char **argv)
                     }));
     }
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has printed the message
 }

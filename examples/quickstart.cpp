@@ -11,13 +11,14 @@
 #include <cstdio>
 
 #include "runtime/cluster.hh"
+#include "sim/logging.hh"
 #include "sparse/generators.hh"
 
 using namespace netsparse;
 
 int
 main()
-{
+try {
     // A 16-node cluster, two racks of 8, paper-default hardware.
     ClusterConfig cfg = defaultClusterConfig(16);
     cfg.nodesPerRack = 8;
@@ -58,4 +59,6 @@ main()
                 100.0 * r.tailLineUtil);
     std::printf("  tail goodput        : %.1f%%\n", 100.0 * r.tailGoodput);
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has printed the message
 }

@@ -26,6 +26,7 @@
 
 #include "analysis/critical_path.hh"
 #include "analysis/telemetry_report.hh"
+#include "sim/logging.hh"
 
 using namespace netsparse;
 
@@ -57,7 +58,7 @@ readFile(const std::string &path, std::string &out)
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string telemetry_path, stats_path, spans_path;
     std::size_t run_index = 0;
     for (int i = 1; i < argc; ++i) {
@@ -65,7 +66,7 @@ main(int argc, char **argv)
         if (a == "--run") {
             if (++i >= argc)
                 usage(argv[0]);
-            run_index = static_cast<std::size_t>(std::atoi(argv[i]));
+            run_index = parseUint("--run", argv[i], 0, SIZE_MAX);
         } else if (a == "--spans") {
             if (++i >= argc)
                 usage(argv[0]);
@@ -81,47 +82,47 @@ main(int argc, char **argv)
     if (telemetry_path.empty() && spans_path.empty())
         usage(argv[0]);
 
-    try {
-        if (!telemetry_path.empty()) {
-            std::string text;
-            if (!readFile(telemetry_path, text)) {
-                std::fprintf(stderr, "cannot read %s\n",
-                             telemetry_path.c_str());
-                return 1;
-            }
-            jsonlite::Value telemetry = jsonlite::parse(text);
-            jsonlite::Value stats;
-            bool have_stats = false;
-            if (!stats_path.empty()) {
-                std::string stext;
-                if (!readFile(stats_path, stext)) {
-                    std::fprintf(stderr, "cannot read %s\n",
-                                 stats_path.c_str());
-                    return 1;
-                }
-                stats = jsonlite::parse(stext);
-                have_stats = true;
-            }
-            TelemetryReport report = analyzeTelemetry(
-                telemetry, have_stats ? &stats : nullptr, run_index);
-            printTelemetryReport(report, std::cout);
+    if (!telemetry_path.empty()) {
+        std::string text;
+        if (!readFile(telemetry_path, text)) {
+            std::fprintf(stderr, "cannot read %s\n",
+                         telemetry_path.c_str());
+            return 1;
         }
-        if (!spans_path.empty()) {
+        jsonlite::Value telemetry = jsonlite::parse(text);
+        jsonlite::Value stats;
+        bool have_stats = false;
+        if (!stats_path.empty()) {
             std::string stext;
-            if (!readFile(spans_path, stext)) {
+            if (!readFile(stats_path, stext)) {
                 std::fprintf(stderr, "cannot read %s\n",
-                             spans_path.c_str());
+                             stats_path.c_str());
                 return 1;
             }
-            jsonlite::Value spans = jsonlite::parse(stext);
-            if (!telemetry_path.empty())
-                std::cout << '\n';
-            SpanReport sreport = analyzeSpans(spans, run_index);
-            printSpanReport(sreport, std::cout);
+            stats = jsonlite::parse(stext);
+            have_stats = true;
         }
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "telemetry_report: %s\n", e.what());
-        return 1;
+        TelemetryReport report = analyzeTelemetry(
+            telemetry, have_stats ? &stats : nullptr, run_index);
+        printTelemetryReport(report, std::cout);
+    }
+    if (!spans_path.empty()) {
+        std::string stext;
+        if (!readFile(spans_path, stext)) {
+            std::fprintf(stderr, "cannot read %s\n",
+                         spans_path.c_str());
+            return 1;
+        }
+        jsonlite::Value spans = jsonlite::parse(stext);
+        if (!telemetry_path.empty())
+            std::cout << '\n';
+        SpanReport sreport = analyzeSpans(spans, run_index);
+        printSpanReport(sreport, std::cout);
     }
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has printed the message
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "telemetry_report: %s\n", e.what());
+    return 1;
 }

@@ -42,7 +42,6 @@ struct Value
     bool isObject() const { return type == Type::Object; }
     bool isArray() const { return type == Type::Array; }
     bool isNumber() const { return type == Type::Number; }
-    bool isString() const { return type == Type::String; }
 
     bool has(const std::string &key) const
     {

@@ -26,14 +26,11 @@ HostNode::HostNode(EventQueue &eq, HostConfig cfg, Snic &snic,
 }
 
 void
-HostNode::start(std::function<void()> on_done)
+HostNode::start()
 {
-    onDone_ = std::move(on_done);
     if (stream_.empty()) {
         done_ = true;
         finishTick_ = eq_.now();
-        if (onDone_)
-            onDone_();
         return;
     }
     pump();
@@ -140,8 +137,6 @@ HostNode::drainCq()
         if (!done_) {
             done_ = true;
             finishTick_ = eq_.now();
-            if (onDone_)
-                onDone_();
         }
         return;
     }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "host/verbs.hh"
@@ -77,8 +76,8 @@ class HostNode
              std::vector<std::uint32_t> idx_stream,
              std::uint32_t prop_bytes);
 
-    /** Kick off the gather; @p on_done fires when all batches finish. */
-    void start(std::function<void()> on_done);
+    /** Kick off the gather; done() turns true when all batches finish. */
+    void start();
 
     /** Simulated time when the last batch completed. */
     Tick finishTick() const { return finishTick_; }
@@ -96,10 +95,6 @@ class HostNode
     std::uint64_t permanentFailures() const { return permanentFailures_; }
 
     std::uint64_t commandsIssued() const { return commandsIssued_; }
-    const std::vector<std::uint32_t> &idxStream() const { return stream_; }
-
-    /** The batch size currently in use (changes under Adaptive). */
-    std::uint32_t currentBatchSize() const { return cfg_.batchSize; }
 
   private:
     /** One posted batch, remembered until its completion arrives so a
@@ -128,7 +123,6 @@ class HostNode
     std::uint32_t propBytes_;
     RigQueuePair qp_;
 
-    std::function<void()> onDone_;
     std::size_t nextOffset_ = 0;
     Tick coreFreeAt_ = 0;
     bool issueScheduled_ = false;

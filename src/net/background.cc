@@ -7,20 +7,6 @@
 
 namespace netsparse {
 
-const char *
-backgroundPatternName(BackgroundPattern p)
-{
-    switch (p) {
-    case BackgroundPattern::Incast:
-        return "incast";
-    case BackgroundPattern::AllToAll:
-        return "alltoall";
-    case BackgroundPattern::Storage:
-        return "storage";
-    }
-    return "?";
-}
-
 bool
 BackgroundTrafficConfig::parse(const std::string &spec,
                                BackgroundTrafficConfig &out)

@@ -42,8 +42,6 @@ namespace netsparse {
 
 enum class BackgroundPattern { Incast, AllToAll, Storage };
 
-const char *backgroundPatternName(BackgroundPattern p);
-
 /** Static background-traffic parameters (one config for all sources). */
 struct BackgroundTrafficConfig
 {

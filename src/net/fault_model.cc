@@ -1,7 +1,5 @@
 #include "net/fault_model.hh"
 
-#include <cstdlib>
-
 #include "sim/logging.hh"
 
 namespace netsparse {
@@ -17,16 +15,6 @@ constexpr std::uint64_t saltVictim = 0x76696374ull;    // "vict"
 
 /** The corruption pattern: a checksum no honest sender ever produces. */
 constexpr std::uint64_t corruptionMask = 0xbadc0ffee0ddf00dull;
-
-double
-parseDouble(const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    double d = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0')
-        ns_fatal("--faults: bad value for '", key, "': ", val);
-    return d;
-}
 
 } // namespace
 
@@ -47,35 +35,33 @@ FaultConfig::parse(const std::string &spec)
         if (colon == std::string::npos)
             ns_fatal("--faults: expected key:value, got '", item, "'");
         std::string key = item.substr(0, colon);
-        std::string val = item.substr(colon + 1);
+        const std::string name = std::string("--faults ") + key;
+        const char *val = item.c_str() + colon + 1;
+        auto number = [&] { return parseNumber(name.c_str(), val); };
         if (key == "drop") {
-            cfg.dropRate = parseDouble(key, val);
+            cfg.dropRate = number();
         } else if (key == "corrupt") {
-            cfg.corruptRate = parseDouble(key, val);
+            cfg.corruptRate = number();
         } else if (key == "down") {
-            cfg.linkDownRate = parseDouble(key, val);
+            cfg.linkDownRate = number();
         } else if (key == "downUs") {
-            cfg.linkDownTicks =
-                static_cast<Tick>(parseDouble(key, val) * ticks::us);
+            cfg.linkDownTicks = static_cast<Tick>(number() * ticks::us);
         } else if (key == "degrade") {
-            cfg.degradeRate = parseDouble(key, val);
+            cfg.degradeRate = number();
         } else if (key == "degradeUs") {
-            cfg.degradeTicks =
-                static_cast<Tick>(parseDouble(key, val) * ticks::us);
+            cfg.degradeTicks = static_cast<Tick>(number() * ticks::us);
         } else if (key == "degradeFactor") {
-            cfg.degradeFactor = parseDouble(key, val);
+            cfg.degradeFactor = number();
         } else if (key == "seed") {
-            cfg.seed = static_cast<std::uint64_t>(parseDouble(key, val));
+            cfg.seed = parseUint(name.c_str(), val);
         } else {
             ns_fatal("--faults: unknown key '", key,
                      "' (expected drop, corrupt, down, downUs, degrade,"
                      " degradeUs, degradeFactor or seed)");
         }
     }
-    if (cfg.dropRate < 0 || cfg.dropRate >= 1 || cfg.corruptRate < 0 ||
-        cfg.corruptRate >= 1 || cfg.linkDownRate < 0 ||
-        cfg.linkDownRate >= 1 || cfg.degradeRate < 0 ||
-        cfg.degradeRate >= 1)
+    if (cfg.dropRate >= 1 || cfg.corruptRate >= 1 ||
+        cfg.linkDownRate >= 1 || cfg.degradeRate >= 1)
         ns_fatal("--faults: rates must lie in [0, 1)");
     if (cfg.degradeFactor <= 0 || cfg.degradeFactor > 1)
         ns_fatal("--faults: degradeFactor must lie in (0, 1]");

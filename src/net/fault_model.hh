@@ -137,7 +137,6 @@ class LinkFaultInjector
     }
 
     const Stats &stats() const { return stats_; }
-    std::uint64_t sendSeq() const { return seq_; }
 
   private:
     /** Uniform [0,1) draw for (current seq, fault-class salt). */

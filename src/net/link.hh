@@ -139,7 +139,6 @@ class Link
      * lookahead.
      */
     void setCrossShardOutbox(DeliveryMailbox *outbox) { outbox_ = outbox; }
-    bool crossShard() const { return outbox_ != nullptr; }
 
     // Statistics.
     std::uint64_t packetsSent() const { return packets_; }

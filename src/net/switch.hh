@@ -143,8 +143,6 @@ class Switch : public PacketSink
         return servedByCacheTenant_.empty() ? servedByCache_
                                             : servedByCacheTenant_[tenant];
     }
-    /** Packets that went through a fair-queueing lane (vs direct). */
-    std::uint64_t fqEnqueued() const { return fqEnqueued_; }
     /** Corrupt responses kept out of the cache (verifyResponses). */
     std::uint64_t poisonRejected() const { return poisonRejected_; }
     /** Reads that skipped the cache on the requester's demand. */
@@ -247,7 +245,7 @@ class Switch : public PacketSink
         std::uint64_t queued = 0;
     };
     std::vector<OutPortFq> fq_;
-    std::uint64_t fqEnqueued_ = 0;
+    std::uint64_t fqEnqueued_ = 0; // packets through a fair-queueing lane
 };
 
 } // namespace netsparse

@@ -28,6 +28,7 @@
 #include "snic/snic.hh"
 #include "sparse/csr.hh"
 #include "sparse/partition.hh"
+#include "sparse/stream_gen.hh"
 
 namespace netsparse {
 
@@ -279,6 +280,13 @@ struct GatherWorkload
 
     /** Slice @p m's rows into one stream per part of @p part. */
     static GatherWorkload slice(const Csr &m, const Partition1D &part);
+
+    /** Take @p pm's per-node streams (PartitionedMatrix::takeStreams). */
+    static GatherWorkload
+    take(PartitionedMatrix &&pm)
+    {
+        return {pm.cols, std::move(pm.part), pm.takeStreams()};
+    }
 };
 
 /** Builds and runs one cluster. */

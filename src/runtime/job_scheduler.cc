@@ -402,10 +402,10 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
             // several shards.
             HostNode *h = f.hosts.back().get();
             if (jobs[t].startDelay == 0)
-                h->start([] {});
+                h->start();
             else
                 f.nodeQueue(nid).schedule(jobs[t].startDelay,
-                                          [h] { h->start([] {}); });
+                                          [h] { h->start(); });
         }
     }
 

@@ -44,13 +44,6 @@ struct ShardMap
     }
     std::uint32_t shardOfNode(NodeId n) const { return nodeShard[n]; }
 
-    /** True when switches @p a and @p b live in different shards. */
-    bool
-    crossShard(SwitchId a, SwitchId b) const
-    {
-        return switchShard[a] != switchShard[b];
-    }
-
     /**
      * Build the rack-granular map: @p shards clamped to [1, racks],
      * ToRs in contiguous blocks, spines spread proportionally, every

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace netsparse {
 
@@ -24,35 +23,49 @@ verbose()
     return gVerbose;
 }
 
-std::uint32_t
-envUint(const char *var, std::uint32_t fallback, std::uint32_t min)
+std::uint64_t
+parseUint(const char *name, const char *text, std::uint64_t min,
+          std::uint64_t max)
 {
-    const char *text = std::getenv(var);
-    if (!text || !*text)
-        return fallback;
     errno = 0;
     char *end = nullptr;
     unsigned long long v = std::strtoull(text, &end, 10);
     if (errno != 0 || !std::isdigit(static_cast<unsigned char>(*text)) ||
-        *end != '\0' || v < min || v > UINT32_MAX)
-        ns_fatal(var, ": expected a 32-bit integer >= ", min, ", got '",
-                 text, "'");
-    return static_cast<std::uint32_t>(v);
+        *end != '\0')
+        ns_fatal(name, ": expected a non-negative integer, got '", text, "'");
+    if (v < min || v > max)
+        ns_fatal(name, ": expected an integer in [", min, ", ", max,
+                 "], got '", text, "'");
+    return v;
+}
+
+double
+parseNumber(const char *name, const char *text, bool positive)
+{
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v) ||
+        v < 0.0 || (positive && v == 0.0))
+        ns_fatal(name, ": expected a ", positive ? "positive" : "non-negative",
+                 " number, got '", text, "'");
+    return v;
+}
+
+std::uint32_t
+envUint(const char *var, std::uint32_t fallback, std::uint32_t min)
+{
+    const char *text = std::getenv(var);
+    return text && *text ? static_cast<std::uint32_t>(
+                               parseUint(var, text, min, UINT32_MAX))
+                         : fallback;
 }
 
 double
 envPositive(const char *var, double fallback)
 {
     const char *text = std::getenv(var);
-    if (!text || !*text)
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v) ||
-        v <= 0.0)
-        ns_fatal(var, ": expected a positive number, got '", text, "'");
-    return v;
+    return text && *text ? parseNumber(var, text, true) : fallback;
 }
 
 namespace detail {
@@ -72,7 +85,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void

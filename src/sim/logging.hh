@@ -7,8 +7,8 @@
  * warn()   - something suspicious but survivable happened.
  * inform() - plain status output.
  *
- * envUint() and envPositive() read a numeric environment variable and
- * treat a malformed value as a fatal() user error.
+ * parseUint() and parseNumber() read every number a flag or an
+ * environment variable gives; a malformed one is a fatal() user error.
  */
 
 #ifndef NETSPARSE_SIM_LOGGING_HH
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace netsparse {
@@ -43,20 +44,31 @@ void informImpl(const std::string &msg);
 
 } // namespace detail
 
+/** What fatal() throws once it has printed its message: every main
+ *  returns 1 on it, which still writes the opened documents. */
+struct FatalError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
 /** Global verbosity switch: when false, inform() output is suppressed. */
 void setVerbose(bool verbose);
 bool verbose();
 
-/**
- * Environment variable @p var as a whole number in [@p min, 2^32), or
- * @p fallback when it is unset or empty. Anything else is fatal, in the
- * CLI's format: "<var>: expected a 32-bit integer >= <min>, got '<value>'".
- */
+/** @p text, the value of the flag or variable @p name, as a whole base-10
+ *  integer in [@p min, @p max]; anything else is fatal, naming both. */
+std::uint64_t parseUint(const char *name, const char *text,
+                        std::uint64_t min = 0, std::uint64_t max = UINT64_MAX);
+
+/** The same for a finite number >= 0 (> 0 when @p positive). */
+double parseNumber(const char *name, const char *text, bool positive = false);
+
+/** Environment variable @p var by parseUint() as a 32-bit integer >=
+ *  @p min, or @p fallback when it is unset or empty. */
 std::uint32_t envUint(const char *var, std::uint32_t fallback,
                       std::uint32_t min);
 
-/** The same for a positive finite number ("expected a positive
- *  number"). */
+/** The same by parseNumber() for a positive number. */
 double envPositive(const char *var, double fallback);
 
 } // namespace netsparse

@@ -228,9 +228,6 @@ buildSpanRun(SpanRun &run, const std::vector<SpanBuffer *> &bufs)
                   " has no recorded events (flight recorder pruned a "
                   "selected span)");
         std::sort(out.events.begin(), out.events.end(), eventBefore);
-        out.parent.resize(out.events.size());
-        for (std::size_t i = 0; i < out.events.size(); ++i)
-            out.parent[i] = static_cast<int>(i) - 1;
         run.spans.push_back(std::move(out));
     }
 
@@ -319,7 +316,7 @@ RunFormat<SpanRun>::write(std::ostream &os, const SpanRun &run)
             os << "\n{\"stage\":\"" << spanStageName(ev.stage)
                << "\",\"tick\":" << ev.tick << ",\"durTicks\":" << ev.dur
                << ",\"comp\":" << ev.comp << ",\"detail\":" << ev.detail
-               << ",\"parent\":" << span.parent[e] << '}';
+               << ",\"parent\":" << static_cast<long long>(e) - 1 << '}';
         }
         os << "]}";
     }

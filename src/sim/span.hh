@@ -263,9 +263,8 @@ struct SpanRecord
     std::string kept;
     /** True for the per-tenant last-retiring (makespan-defining) span. */
     bool finisher = false;
+    /** Sorted; events[i]'s causal parent is events[i - 1]. */
     std::vector<SpanEvent> events;
-    /** events[i]'s causal parent: index into events, -1 for the root. */
-    std::vector<int> parent;
 };
 
 /** One run section of the netsparse-spans-v1 document. */
@@ -285,7 +284,7 @@ struct SpanRun
  * Merge the per-shard buffers of one run into @p run: apply the
  * selection (sampled union tail union per-tenant finishers), gather and
  * sort each kept span's events by (tick, stage rank, comp, dur,
- * detail), and build the parent chain. Deterministic for any @p bufs
+ * detail) into its parent chain. Deterministic for any @p bufs
  * partition of the same execution, which is what makes the document
  * byte-identical at 1/2/4 shards.
  */

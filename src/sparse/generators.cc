@@ -218,12 +218,6 @@ RowEmitter::expectedDegree() const
         p_);
 }
 
-std::uint32_t
-generatorRows(const GeneratorParams &p)
-{
-    return std::visit([](const auto &g) { return g.rows; }, p);
-}
-
 Coo
 makeMatrix(const GeneratorParams &gp)
 {

@@ -126,9 +126,6 @@ Coo makeStokesLike(const StokesLikeParams &p);
 using GeneratorParams = std::variant<WebCrawlParams, RoadNetworkParams,
                                      BandedFemParams, StokesLikeParams>;
 
-/** Row count described by a parameter set. */
-std::uint32_t generatorRows(const GeneratorParams &p);
-
 /** Materialize the matrix a parameter set describes. */
 Coo makeMatrix(const GeneratorParams &p);
 

@@ -100,13 +100,4 @@ writeMatrixMarket(std::ostream &out, const Coo &m)
     }
 }
 
-void
-writeMatrixMarketFile(const std::string &path, const Coo &m)
-{
-    std::ofstream out(path);
-    if (!out)
-        ns_fatal("cannot open ", path, " for writing");
-    writeMatrixMarket(out, m);
-}
-
 } // namespace netsparse

@@ -27,9 +27,6 @@ Coo readMatrixMarketFile(const std::string &path);
 /** Write @p m in Matrix Market coordinate format. */
 void writeMatrixMarket(std::ostream &out, const Coo &m);
 
-/** Write @p m to a file. */
-void writeMatrixMarketFile(const std::string &path, const Coo &m);
-
 } // namespace netsparse
 
 #endif // NETSPARSE_SPARSE_MMIO_HH

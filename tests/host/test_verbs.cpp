@@ -150,10 +150,8 @@ TEST(HostNode, DrivesWholeStreamAcrossBatches)
     for (int i = 0; i < 100; ++i)
         stream.push_back(1 + 2 * (i % 13)); // odd -> remote
     HostNode host(w.eq, hcfg, *w.snic0, std::move(stream), 64);
-    bool done = false;
-    host.start([&] { done = true; });
+    host.start();
     w.eq.run();
-    EXPECT_TRUE(done);
     EXPECT_TRUE(host.done());
     EXPECT_EQ(host.failures(), 0u);
     EXPECT_EQ(host.commandsIssued(), 7u); // ceil(100 / 16)
@@ -169,9 +167,8 @@ TEST(HostNode, EmptyStreamFinishesInstantly)
 {
     TwoNodeWorld w;
     HostNode host(w.eq, {}, *w.snic0, {}, 64);
-    bool done = false;
-    host.start([&] { done = true; });
-    EXPECT_TRUE(done);
+    host.start();
+    EXPECT_TRUE(host.done());
     EXPECT_EQ(host.finishTick(), 0u);
 }
 
@@ -181,10 +178,9 @@ TEST(HostNode, AutoBatchSizingKeepsUnitsBusy)
     HostConfig hcfg;   // batchSize = 0 -> auto
     std::vector<std::uint32_t> stream(100000, 1);
     HostNode host(w.eq, hcfg, *w.snic0, std::move(stream), 64);
-    bool done = false;
-    host.start([&] { done = true; });
+    host.start();
     w.eq.run();
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(host.done());
     // Auto sizing targets ~2 batches per client unit.
     EXPECT_GE(host.commandsIssued(), 4u);
 }

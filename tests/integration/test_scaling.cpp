@@ -66,12 +66,8 @@ runToJson(ClusterConfig cfg, GatherWorkload &&work,
 GatherWorkload
 streamedWorkload(MatrixKind kind, double scale, std::uint32_t nodes)
 {
-    PartitionedMatrix pm = buildPartitionedBenchmark(kind, scale, nodes);
-    GatherWorkload work;
-    work.numIdxs = pm.cols;
-    work.part = pm.part;
-    work.streams = pm.takeStreams();
-    return work;
+    return GatherWorkload::take(
+        buildPartitionedBenchmark(kind, scale, nodes));
 }
 
 } // namespace

@@ -95,10 +95,7 @@ TEST(PaperScale, CiSmokeGatherCompletesInBudget)
         MatrixKind::Arabic, kCiPaperScale, 1024);
     std::uint64_t nnz = pm.nnz;
 
-    GatherWorkload work;
-    work.numIdxs = pm.cols;
-    work.part = pm.part;
-    work.streams = pm.takeStreams();
+    GatherWorkload work = GatherWorkload::take(std::move(pm));
 
     ClusterConfig cfg = defaultClusterConfig(1024);
     cfg.eventBatching = true;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "sim/logging.hh"
 
 using namespace netsparse;
@@ -15,6 +18,37 @@ TEST(Logging, FatalThrowsRuntimeError)
 {
     EXPECT_THROW(ns_fatal("user error: ", "bad config"),
                  std::runtime_error);
+    EXPECT_THROW(ns_fatal("user error"), FatalError);
+}
+
+TEST(Logging, ParseUintIsWholeBase10AndRangeChecked)
+{
+    EXPECT_EQ(parseUint("--n", "010"), 10u);
+    EXPECT_EQ(parseUint("--n", "18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseUint("--n", "7", 7, 7), 7u);
+    for (const char *bad : {"", "8abc", "-4", " 5", "+5", "0x10",
+                            "18446744073709551616"})
+        EXPECT_THROW(parseUint("--n", bad), FatalError) << bad;
+    EXPECT_THROW(parseUint("--n", "1", 2), FatalError);
+    try {
+        parseUint("--nodes", "4294967296", 0, UINT32_MAX);
+        FAIL() << "an out-of-range value was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "--nodes: expected an integer in [0, 4294967295], "
+                      "got '4294967296'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Logging, ParseNumberIsWholeAndFinite)
+{
+    EXPECT_DOUBLE_EQ(parseNumber("--s", "0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(parseNumber("--s", "0"), 0.0);
+    EXPECT_THROW(parseNumber("--s", "0", true), FatalError);
+    for (const char *bad : {"", "0.05x", "-1", "inf", "nan", "1e400"})
+        EXPECT_THROW(parseNumber("--s", bad), FatalError) << bad;
 }
 
 TEST(Logging, PanicMessageCarriesFormattedArgs)
