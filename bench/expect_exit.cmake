@@ -1,6 +1,7 @@
 # Run one binary and check how it ends: its exit status, its error
 # message, and that a fatal() user error ends cleanly - exit 1 with
-# exactly one "fatal:" line and no "terminate called" of an uncaught
+# exactly one "fatal:" line, which names the input rather than a
+# "(<source file>:<line>)", and no "terminate called" of an uncaught
 # exception.
 # Run by ctest (bench/ and examples/CMakeLists.txt), which sets any
 # environment variable through the test's ENVIRONMENT property:
@@ -24,7 +25,8 @@ string(REGEX MATCHALL "(^|\n)fatal:" fatals "${err}")
 list(LENGTH fatals num_fatals)
 if(NOT code EQUAL CODE OR NOT err MATCHES "${MATCH}" OR
    err MATCHES "terminate called" OR
-   (CODE EQUAL 1 AND NOT num_fatals EQUAL 1))
+   (CODE EQUAL 1 AND NOT num_fatals EQUAL 1) OR
+   (CODE EQUAL 1 AND err MATCHES "fatal:[^\n]* \\([^\n]*:[0-9]+\\)(\n|$)"))
     message(FATAL_ERROR "${BIN} ${ARGS}: exit ${code}, stderr: ${err}")
 endif()
 

@@ -28,7 +28,6 @@ Concatenator::emitSolo(PropertyRequest &&pr, NodeId dest)
     pkt.type = pr.type;
     pkt.tenant = pr.tenant;
     pkt.concatenated = false;
-    pkt.spanned = pr.traced;
     pkt.prs = acquirePrBuffer(1);
     pkt.prs.push_back(std::move(pr));
     ++packetsEmitted_;
@@ -107,7 +106,6 @@ Concatenator::push(PropertyRequest &&pr, NodeId dest)
     }
 
     bool was_empty = cq.prs.empty();
-    cq.spanned |= pr.traced;
     cq.prs.push_back(std::move(pr));
     Tick now = eq_.now();
     if (was_empty)
@@ -169,7 +167,6 @@ Concatenator::flush(Cq &cq, const char *reason)
     pkt.type = cq.type;
     pkt.tenant = cq.prs.front().tenant;
     pkt.concatenated = true;
-    pkt.spanned = cq.spanned;
     // Steal cq.prs wholesale and hand the CQ a recycled buffer: packets
     // die at a deconcatenation point on this same thread, so the pool
     // feeds grown-to-size buffers back and steady-state refills never
@@ -203,7 +200,6 @@ Concatenator::flush(Cq &cq, const char *reason)
     cq.prs.clear();
     cq.enterSum = 0;
     cq.bytes = 0;
-    cq.spanned = false;
 
     emit_(std::move(pkt));
 }

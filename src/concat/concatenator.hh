@@ -119,8 +119,6 @@ class Concatenator
         std::uint32_t bytes = 0; // PR-layer bytes (headers + payloads)
         std::uint64_t generation = 0;
         bool armed = false; // an EQ entry (timer) is outstanding
-        /** Some waiting PR is traced (becomes Packet::spanned). */
-        bool spanned = false;
         NodeId dest = invalidNode;
         PrType type = PrType::Read;
         /**

@@ -1,6 +1,7 @@
 #include "net/background.hh"
 
-#include <cstdlib>
+#include <cstdint>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -11,42 +12,34 @@ bool
 BackgroundTrafficConfig::parse(const std::string &spec,
                                BackgroundTrafficConfig &out)
 {
-    BackgroundTrafficConfig cfg;
-    std::size_t a = spec.find(':');
-    if (a == std::string::npos)
+    std::vector<std::string> field;
+    std::size_t from = 0;
+    for (std::size_t colon; (colon = spec.find(':', from)) != spec.npos;
+         from = colon + 1)
+        field.push_back(spec.substr(from, colon - from));
+    field.push_back(spec.substr(from));
+    if (field.size() < 2 || field.size() > 4)
         return false;
-    std::string pattern = spec.substr(0, a);
-    if (pattern == "incast")
+
+    BackgroundTrafficConfig cfg;
+    if (field[0] == "incast")
         cfg.pattern = BackgroundPattern::Incast;
-    else if (pattern == "alltoall")
+    else if (field[0] == "alltoall")
         cfg.pattern = BackgroundPattern::AllToAll;
-    else if (pattern == "storage")
+    else if (field[0] == "storage")
         cfg.pattern = BackgroundPattern::Storage;
     else
         return false;
-
-    const char *rest = spec.c_str() + a + 1;
-    char *end = nullptr;
-    cfg.load = std::strtod(rest, &end);
-    if (end == rest || cfg.load <= 0.0 || cfg.load > 1.0)
+    // The numbers follow the command line's grammar (sim/logging.hh).
+    if (!readNumber(field[1].c_str(), cfg.load, true) || cfg.load > 1.0)
         return false;
-    cfg.packetsPerSource = 2000;
-    if (*end == ':') {
-        rest = end + 1;
-        unsigned long v = std::strtoul(rest, &end, 10);
-        if (end == rest || v == 0)
+    std::uint64_t n[] = {2000, cfg.packetBytes}; // packets, bytes
+    for (std::size_t i = 2; i < field.size(); ++i)
+        if (!readUint(field[i].c_str(), n[i - 2]) || n[i - 2] == 0 ||
+            n[i - 2] > UINT32_MAX)
             return false;
-        cfg.packetsPerSource = static_cast<std::uint32_t>(v);
-    }
-    if (*end == ':') {
-        rest = end + 1;
-        unsigned long v = std::strtoul(rest, &end, 10);
-        if (end == rest || v == 0)
-            return false;
-        cfg.packetBytes = static_cast<std::uint32_t>(v);
-    }
-    if (*end != '\0')
-        return false;
+    cfg.packetsPerSource = static_cast<std::uint32_t>(n[0]);
+    cfg.packetBytes = static_cast<std::uint32_t>(n[1]);
     out = cfg;
     return true;
 }

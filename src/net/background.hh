@@ -63,8 +63,9 @@ struct BackgroundTrafficConfig
 
     /**
      * Parse "pattern:load[:packets[:bytes]]" (e.g. "incast:0.5:2000").
-     * Patterns: incast | alltoall | storage. Returns false (and leaves
-     * @p out untouched) on a malformed spec.
+     * Patterns: incast | alltoall | storage; load in (0, 1], counts
+     * positive 32-bit, all in parseNumber()/parseUint()'s grammar.
+     * Returns false (and leaves @p out untouched) on a malformed spec.
      */
     static bool parse(const std::string &spec,
                       BackgroundTrafficConfig &out);

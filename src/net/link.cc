@@ -50,18 +50,16 @@ Link::send(Packet &&pkt)
                    {"prs", static_cast<double>(pkt.prs.size())},
                    {"dest", static_cast<double>(pkt.dest)}})));
 
-    if (pkt.spanned) {
-        // Wire occupancy of every traced PR aboard; recorded before the
-        // drop verdict because a dropped-then-retransmitted attempt
-        // really burned this wire time. Links use their cluster-wide
-        // ordering id as the span component id (the scheduler registers
-        // the name table in the same order).
-        if (SpanBuffer *sb = eq_.spans())
-            for (const auto &pr : pkt.prs)
-                if (pr.traced)
-                    sb->record(sb->idOf(pr), SpanStage::LinkTx,
-                               orderingId_, start, ser, wire);
-    }
+    // Wire occupancy of every traced PR aboard; recorded before the
+    // drop verdict because a dropped-then-retransmitted attempt really
+    // burned this wire time. Links use their cluster-wide ordering id
+    // as the span component id (the scheduler registers the name table
+    // in the same order).
+    if (SpanBuffer *sb = eq_.spans())
+        for (const auto &pr : pkt.prs)
+            if (pr.traced)
+                sb->record(sb->idOf(pr), SpanStage::LinkTx, orderingId_,
+                           start, ser, wire);
 
     if (verdict.dropOnWire) {
         // A dropped packet burns wire time (accounted above via

@@ -16,12 +16,25 @@ deltaNs(Tick from, Tick to)
 
 } // namespace
 
-StampBoard::StampBoard(std::uint32_t nodes, std::uint32_t tenants,
-                       std::uint32_t clients)
-    : tenants_(tenants), slices_(std::size_t{nodes} * tenants)
+StampBoard::StampBoard(std::vector<std::uint32_t> nodeShard,
+                       std::uint32_t tenants, std::uint32_t clients)
+    : tenants_(tenants), nodeShard_(std::move(nodeShard)),
+      slices_(nodeShard_.size() * tenants),
+      latency_(tenants * (std::size_t{1} +
+                          *std::max_element(nodeShard_.begin(),
+                                            nodeShard_.end())))
 {
     for (Slice &s : slices_)
         s.clients.resize(clients);
+}
+
+PrLatencyStats
+StampBoard::latency(std::uint32_t tenant) const
+{
+    PrLatencyStats all;
+    for (std::size_t i = tenant; i < latency_.size(); i += tenants_)
+        all.merge(latency_[i]);
+    return all;
 }
 
 void
@@ -37,7 +50,10 @@ StampBoard::accept(const PropertyRequest &pr, std::uint32_t lastAttempt,
             t.erase(static_cast<std::size_t>(s - t.slots.data()));
         }
     }
-    slices_[pr.src * tenants_ + pr.tenant].latency.record(stamps, pr, now);
+    if (latency_[nodeShard_[pr.src] * tenants_ + pr.tenant].record(
+            stamps, pr, now))
+        slices_[pr.src * tenants_ + pr.tenant].totalNs.sample(
+            deltaNs(stamps.issueTick, now));
 }
 
 void
@@ -91,7 +107,7 @@ StampBoard::ClientTable::erase(std::size_t i)
     }
 }
 
-void
+bool
 PrLatencyStats::record(const PrStamps &stamps, const PropertyRequest &pr,
                        Tick now)
 {
@@ -100,12 +116,11 @@ PrLatencyStats::record(const PrStamps &stamps, const PropertyRequest &pr,
     // than pollute the histograms with bogus zero-origin spans.
     const PrStamps &s = stamps;
     if (s.issueTick == 0)
-        return;
+        return false;
     ++responses;
     if (pr.servedByCache)
         ++cacheServed;
     totalNs.sample(deltaNs(s.issueTick, now));
-    totalAvgNs.sample(deltaNs(s.issueTick, now));
     if (s.egressTick >= s.issueTick && s.egressTick != 0) {
         nicNs.sample(deltaNs(s.issueTick, s.egressTick));
         if (s.torIngressTick >= s.egressTick && s.torIngressTick != 0)
@@ -119,6 +134,7 @@ PrLatencyStats::record(const PrStamps &stamps, const PropertyRequest &pr,
         if (now >= pr.fetchTick)
             responseNetNs.sample(deltaNs(pr.fetchTick, now));
     }
+    return true;
 }
 
 void
@@ -130,7 +146,6 @@ PrLatencyStats::merge(const PrLatencyStats &o)
     remoteNs.merge(o.remoteNs);
     responseNetNs.merge(o.responseNetNs);
     totalNs.merge(o.totalNs);
-    totalAvgNs.merge(o.totalAvgNs);
     responses += o.responses;
     cacheServed += o.cacheServed;
 }

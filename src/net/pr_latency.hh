@@ -10,8 +10,8 @@
  * requester's slice of the StampBoard, keyed by the attempt's
  * identity, and never ride the PR. The fetch stamp is written on the
  * home node's shard, so it rides the response
- * (PropertyRequest::fetchTick). The slice's PrLatencyStats turns the
- * stamps of each accepted response into stage-delta histograms:
+ * (PropertyRequest::fetchTick). The PrLatencyStats of the requester's
+ * (shard, tenant) turns each accepted response into stage deltas:
  *
  *   nicNs          issue -> egress: NIC-side time (concatenation
  *                  wait, transmit buffering) before serialization
@@ -31,7 +31,7 @@
  * response was accepted. A stage whose stamps are absent (e.g. no
  * middle pipes on a baseline run) simply records nothing. The board
  * exists only while telemetry is on, so the lossless fast path and the
- * exported stats document are untouched otherwise; per-slice
+ * exported stats document are untouched otherwise; per-shard
  * collectors merge exactly (integer bucket counts), keeping the
  * cluster-wide document byte-identical at any shard count.
  */
@@ -60,13 +60,13 @@ struct PrStamps
     Tick torIngressTick = 0;
 };
 
-/** Stage-delta latency accumulators for one collector (node/cluster). */
+/** Stage-delta latency accumulators for one collector (shard/tenant). */
 struct PrLatencyStats
 {
     /**
      * Shared histogram geometry: [0, 100 us) in ns, 50 ns buckets.
-     * Every collector uses it so per-node histograms merge exactly
-     * into the cluster-wide ones and percentile() interpolates on the
+     * Every collector uses it so per-shard histograms merge exactly
+     * into the tenant-wide ones and percentile() interpolates on the
      * same grid everywhere.
      */
     static constexpr double histLoNs = 0.0;
@@ -80,18 +80,15 @@ struct PrLatencyStats
     Histogram responseNetNs{histLoNs, histHiNs, histBuckets};
     Histogram totalNs{histLoNs, histHiNs, histBuckets};
 
-    /** End-to-end latency summary (count/mean/min/max) for per-node
-     *  export, where full histograms would bloat the document. */
-    Average totalAvgNs;
-
     std::uint64_t responses = 0;
     std::uint64_t cacheServed = 0;
 
     /**
      * Record one accepted response @p pr, whose attempt's board entry
-     * held @p stamps; @p now is the client's tick.
+     * held @p stamps; @p now is the client's tick. False, recording
+     * nothing, when the attempt has no issue stamp.
      */
-    void record(const PrStamps &stamps, const PropertyRequest &pr,
+    bool record(const PrStamps &stamps, const PropertyRequest &pr,
                 Tick now);
 
     /** Fold another collector in (exact; geometries are shared). */
@@ -109,11 +106,12 @@ struct PrLatencyStats
 /**
  * The run's PR-latency recorder. For every (node, tenant) slice it
  * holds the PrStamps of each read attempt the slice's client RIG units
- * issued and have not had answered, and the slice's PrLatencyStats.
+ * issued and have not had answered, and the slice's totalNs average;
+ * the histograms live in one PrLatencyStats per (shard, tenant).
  * Components reach it through EventQueue::stampBoard(), which is null
  * unless telemetry is on. One board serves every shard: a slice's
  * clients, SNIC egress and ToR middle pipe run on its rack's queue, so
- * each slice is written by one shard only.
+ * each slice and each collector is written by one shard only.
  *
  * Only the issuing client opens an entry; the SNIC egress path and the
  * ToR middle pipe stamp an existing entry and ignore a missing one (a
@@ -132,8 +130,9 @@ struct PrLatencyStats
 class StampBoard
 {
   public:
-    /** @p nodes x @p tenants slices of @p clients client RIG units. */
-    StampBoard(std::uint32_t nodes, std::uint32_t tenants,
+    /** @p tenants slices of @p clients client RIG units per node; node
+     *  n runs on shard @p nodeShard[n]. */
+    StampBoard(std::vector<std::uint32_t> nodeShard, std::uint32_t tenants,
                std::uint32_t clients);
 
     /** Open @p pr's attempt, issued at @p now. */
@@ -161,8 +160,8 @@ class StampBoard
 
     /**
      * @p pr's response was accepted at @p now: record its attempt's
-     * stamps (nothing if absent) in its slice's collector and drop
-     * attempts 0..@p lastAttempt of its reqId.
+     * stamps (nothing if absent) in its slice and its shard's collector
+     * and drop attempts 0..@p lastAttempt of its reqId.
      */
     void accept(const PropertyRequest &pr, std::uint32_t lastAttempt,
                 Tick now);
@@ -174,11 +173,14 @@ class StampBoard
         slices_[src * tenants_ + tenant].clients[srcTid] = ClientTable{};
     }
 
-    /** Slice (@p node, @p tenant)'s collector. */
-    const PrLatencyStats &
-    latency(NodeId node, std::uint32_t tenant) const
+    /** Tenant @p tenant's collectors merged over the shards (exact). */
+    PrLatencyStats latency(std::uint32_t tenant) const;
+
+    /** End-to-end latency of slice (@p node, @p tenant)'s responses. */
+    const Average &
+    totalNs(NodeId node, std::uint32_t tenant) const
     {
-        return slices_[node * tenants_ + tenant].latency;
+        return slices_[node * tenants_ + tenant].totalNs;
     }
 
   private:
@@ -220,7 +222,7 @@ class StampBoard
     struct Slice
     {
         std::vector<ClientTable> clients; ///< By srcTid.
-        PrLatencyStats latency;
+        Average totalNs;
     };
 
     ClientTable &
@@ -230,7 +232,9 @@ class StampBoard
     }
 
     std::uint32_t tenants_;
+    std::vector<std::uint32_t> nodeShard_;
     std::vector<Slice> slices_; ///< Nid-major, like the fabric's.
+    std::vector<PrLatencyStats> latency_; ///< Shard-major.
 };
 
 } // namespace netsparse

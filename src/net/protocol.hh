@@ -157,13 +157,6 @@ struct Packet
      * destination node. 0 for every protocol packet.
      */
     std::uint32_t rawBytes = 0;
-    /**
-     * True when at least one PR inside is traced. Set at the
-     * concatenation point that built the packet; links and switches
-     * test this single flag before scanning prs for span hops, so a
-     * run with spans disabled pays one always-false branch per packet.
-     */
-    bool spanned = false;
     std::vector<PropertyRequest> prs;
 
     /** Total bytes on the wire, headers included. */

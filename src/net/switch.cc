@@ -86,13 +86,11 @@ Switch::receivePacket(Packet &&pkt, std::uint32_t in_port)
     Tick delay = cfg_.pipelineLatency;
     if (cfg_.netsparseEnabled)
         delay += cacheLatency_;
-    if (pkt.spanned) {
-        if (SpanBuffer *sb = eq_.spans())
-            for (const auto &pr : pkt.prs)
-                if (pr.traced)
-                    sb->record(sb->idOf(pr), SpanStage::SwitchPipe,
-                               spanComp_, eq_.now(), delay, in_port);
-    }
+    if (SpanBuffer *sb = eq_.spans())
+        for (const auto &pr : pkt.prs)
+            if (pr.traced)
+                sb->record(sb->idOf(pr), SpanStage::SwitchPipe, spanComp_,
+                           eq_.now(), delay, in_port);
     NS_TRACE(eq_, tw.complete(
         tw.track(name_), "pipe", eq_.now(), eq_.now() + delay,
         traceArgs({{"prs", static_cast<double>(pkt.prs.size())},

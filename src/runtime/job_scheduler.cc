@@ -784,7 +784,7 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
             f.snic(nid, t).exportStats(reg, name);
             if (board)
                 reg.setAverage(name + ".prLatency.totalNs",
-                               board->latency(nid, t).totalAvgNs);
+                               board->totalNs(nid, t));
         }
         std::string node = "node" + std::to_string(nid);
         const Link *tx = f.nicEgress[nid];
@@ -805,15 +805,11 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
         // Cluster-wide PR latency decomposition beside the per-slice
         // averages above. The board exists only with telemetry on, so
         // the telemetry-off document stays byte-identical.
-        for (std::uint32_t t = 0; t < f.T; ++t) {
-            PrLatencyStats agg;
-            for (NodeId nid = 0; nid < f.cfg.numNodes; ++nid)
-                agg.merge(board->latency(nid, t));
-            agg.exportStats(reg, f.multi ? "cluster.tenant" +
-                                               std::to_string(t) +
-                                               ".prLatency"
-                                         : "cluster.prLatency");
-        }
+        for (std::uint32_t t = 0; t < f.T; ++t)
+            board->latency(t).exportStats(
+                reg, f.multi ? "cluster.tenant" + std::to_string(t) +
+                                   ".prLatency"
+                             : "cluster.prLatency");
     }
     if (f.cfg.memoryStats) {
         // Per-shard arena accounting (sim/arena.hh). Shard workers were
@@ -912,10 +908,11 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     const bool telemetry_on =
         TelemetrySink::instance().enabled() && cfg_.telemetryInterval > 0;
     // The PR-latency recorder (net/pr_latency.hh): one board for every
-    // shard, since each slice in it is written by its rack's queue only.
+    // shard, since each slice in it is written by its rack's queue only
+    // and each latency collector by its own shard.
     std::unique_ptr<StampBoard> board;
     if (telemetry_on) {
-        board = std::make_unique<StampBoard>(cfg_.numNodes, T,
+        board = std::make_unique<StampBoard>(f.shardMap.nodeShard, T,
                                              cfg_.snic.numRigUnits / 2);
         for (auto &q : f.queues)
             q->setStampBoard(board.get());
@@ -932,8 +929,11 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         if (f.numShards() > 1) {
             shard_traces.push_back(std::make_unique<TraceWriter>());
             w = shard_traces.back().get();
-            w->open(TraceWriter::derivedPath(trace.path(),
-                                             "shard" + std::to_string(s)));
+            const std::string path = TraceWriter::derivedPath(
+                trace.path(), "shard" + std::to_string(s));
+            if (!w->open(path))
+                ns_warn("cannot open per-shard trace ", path, "; shard ",
+                        s, " runs untraced");
         }
         f.queues[s]->setTrace(w);
     }

@@ -23,15 +23,32 @@ verbose()
     return gVerbose;
 }
 
+bool
+readUint(const char *text, std::uint64_t &v)
+{
+    errno = 0;
+    char *end = nullptr;
+    v = std::strtoull(text, &end, 10);
+    return errno == 0 && std::isdigit(static_cast<unsigned char>(*text)) &&
+           *end == '\0';
+}
+
+bool
+readNumber(const char *text, double &v, bool positive)
+{
+    errno = 0;
+    char *end = nullptr;
+    v = std::strtod(text, &end);
+    return errno == 0 && end != text && *end == '\0' && std::isfinite(v) &&
+           v >= 0.0 && !(positive && v == 0.0);
+}
+
 std::uint64_t
 parseUint(const char *name, const char *text, std::uint64_t min,
           std::uint64_t max)
 {
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || !std::isdigit(static_cast<unsigned char>(*text)) ||
-        *end != '\0')
+    std::uint64_t v = 0;
+    if (!readUint(text, v))
         ns_fatal(name, ": expected a non-negative integer, got '", text, "'");
     if (v < min || v > max)
         ns_fatal(name, ": expected an integer in [", min, ", ", max,
@@ -42,11 +59,8 @@ parseUint(const char *name, const char *text, std::uint64_t min,
 double
 parseNumber(const char *name, const char *text, bool positive)
 {
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v) ||
-        v < 0.0 || (positive && v == 0.0))
+    double v = 0.0;
+    if (!readNumber(text, v, positive))
         ns_fatal(name, ": expected a ", positive ? "positive" : "non-negative",
                  " number, got '", text, "'");
     return v;
@@ -81,9 +95,9 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
+    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::fflush(stderr);
     throw FatalError("fatal: " + msg);
 }

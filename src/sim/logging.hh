@@ -2,8 +2,10 @@
  * @file
  * gem5-style status and error reporting helpers.
  *
- * panic()  - an internal simulator invariant was violated (aborts).
- * fatal()  - the user asked for something impossible (exits cleanly).
+ * panic()  - an internal simulator invariant was violated (aborts,
+ *            naming the source line of the check).
+ * fatal()  - the user asked for something impossible (exits cleanly;
+ *            the message names the input, not the source line).
  * warn()   - something suspicious but survivable happened.
  * inform() - plain status output.
  *
@@ -37,8 +39,7 @@ format(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -54,6 +55,13 @@ struct FatalError : std::runtime_error
 /** Global verbosity switch: when false, inform() output is suppressed. */
 void setVerbose(bool verbose);
 bool verbose();
+
+/** The grammar of parseUint() and parseNumber() without the error, for
+ *  parsers that report failure themselves: false when @p text is not a
+ *  whole base-10 integer of 64 bits (a finite number >= 0, > 0 when
+ *  @p positive), and @p v then holds no meaningful value. */
+bool readUint(const char *text, std::uint64_t &v);
+bool readNumber(const char *text, double &v, bool positive = false);
 
 /** @p text, the value of the flag or variable @p name, as a whole base-10
  *  integer in [@p min, @p max]; anything else is fatal, naming both. */
@@ -78,8 +86,7 @@ double envPositive(const char *var, double fallback);
                                    ::netsparse::detail::format(__VA_ARGS__))
 
 #define ns_fatal(...)                                                       \
-    ::netsparse::detail::fatalImpl(__FILE__, __LINE__,                      \
-                                   ::netsparse::detail::format(__VA_ARGS__))
+    ::netsparse::detail::fatalImpl(::netsparse::detail::format(__VA_ARGS__))
 
 #define ns_warn(...)                                                        \
     ::netsparse::detail::warnImpl(::netsparse::detail::format(__VA_ARGS__))

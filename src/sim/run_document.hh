@@ -113,7 +113,7 @@ class RunDocument : public ThreadBound<RunDocument<Run>>
      * writeFile(), which is also registered atexit for global(). The
      * path is probe-opened immediately: returns false (and collection
      * stays off) when it cannot be created, e.g. its directory is
-     * missing.
+     * missing; the caller reports it.
      */
     bool
     setOutputPath(const std::string &path)
@@ -121,10 +121,8 @@ class RunDocument : public ThreadBound<RunDocument<Run>>
         // Append mode creates the file and keeps any content, so a bad
         // path fails loudly up front instead of producing a silent
         // empty run when the atexit write finally discovers it.
-        if (!path.empty() && !std::ofstream(path, std::ios::app)) {
-            ns_warn("cannot open ", Format::noun, " output ", path);
+        if (!path.empty() && !std::ofstream(path, std::ios::app))
             return false;
-        }
         path_ = path;
         written_ = false;
         // global() is constructed first, so its destructor runs after

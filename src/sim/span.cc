@@ -79,36 +79,23 @@ spanStageName(SpanStage s)
 void
 SpanBuffer::retire(const SpanRetire &rec)
 {
-    retired_.push_back(rec);
-    if (!params_.recordAll()) {
-        // Sample-only mode: only sampled PRs carry a span id at all,
-        // so everything retiring here is kept and nothing is pruned.
-        return;
-    }
+    ++recorded_;
+    records_.emplace(rec.spanId, rec);
 
-    // Track the tenant's last-retiring span (the makespan finisher);
-    // the span it displaces loses that protection.
+    // Track the tenant's last-retiring span (the makespan finisher, ties
+    // to the smaller id); the span it displaces loses that protection.
     std::uint64_t displaced = 0;
-    auto fin = finisher_.find(rec.tenant);
-    if (fin == finisher_.end()) {
-        finisher_.emplace(rec.tenant,
-                          std::make_pair(rec.retireTick, rec.spanId));
-    } else if (rec.retireTick > fin->second.first ||
-               (rec.retireTick == fin->second.first &&
-                rec.spanId < fin->second.second)) {
+    const std::pair<Tick, std::uint64_t> finish{rec.retireTick, rec.spanId};
+    auto [fin, fresh] = finisher_.try_emplace(rec.tenant, finish);
+    if (!fresh && keepBetter(finish, fin->second)) {
         displaced = fin->second.second;
-        fin->second = {rec.retireTick, rec.spanId};
+        fin->second = finish;
     }
 
-    Tick total = rec.totalTicks();
-    bool kept_outright =
-        params_.sampled(rec.spanId) ||
-        (params_.tailThreshold != 0 && total >= params_.tailThreshold);
-    std::uint64_t evicted = 0;
-    if (kept_outright) {
-        keptIds_.insert(rec.spanId);
-    } else if (params_.tailKeep != 0) {
-        heap_.emplace_back(total, rec.spanId);
+    // A top-K candidate unless kept outright; dropped below unless kept.
+    std::uint64_t evicted = rec.spanId;
+    if (!keptOutright(rec) && params_.tailKeep != 0) {
+        heap_.emplace_back(rec.totalTicks(), rec.spanId);
         heapIds_.insert(rec.spanId);
         std::push_heap(heap_.begin(), heap_.end(), keepBetter);
         if (heap_.size() > params_.tailKeep) {
@@ -120,28 +107,47 @@ SpanBuffer::retire(const SpanRetire &rec)
             heap_.pop_back();
             heapIds_.erase(evicted);
         }
-    } else {
-        evicted = rec.spanId; // threshold-only mode, under the bar
     }
-    if (evicted)
-        maybePrune(evicted);
+    maybePrune(evicted);
     if (displaced)
         maybePrune(displaced);
+}
+
+bool
+SpanBuffer::keptOutright(const SpanRetire &rec) const
+{
+    return params_.sampled(rec.spanId) ||
+           (params_.tailThreshold != 0 &&
+            rec.totalTicks() >= params_.tailThreshold);
+}
+
+const char *
+SpanBuffer::keptAs(std::uint64_t spanId) const
+{
+    auto it = records_.find(spanId);
+    if (it == records_.end())
+        return nullptr;
+    if (params_.sampled(spanId))
+        return "sampled";
+    if (keptOutright(it->second) || heapIds_.count(spanId))
+        return "tail";
+    return isFinisher(spanId) ? "finisher" : nullptr;
+}
+
+bool
+SpanBuffer::isFinisher(std::uint64_t spanId) const
+{
+    for (const auto &f : finisher_)
+        if (f.second.second == spanId)
+            return true;
+    return false;
 }
 
 void
 SpanBuffer::maybePrune(std::uint64_t spanId)
 {
-    if (heapIds_.count(spanId) || keptIds_.count(spanId))
-        return;
-    for (const auto &f : finisher_)
-        if (f.second.second == spanId)
-            return;
-    auto it = open_.find(spanId);
-    if (it != open_.end()) {
-        open_.erase(it);
+    if (!keptAs(spanId) && records_.erase(spanId) && open_.erase(spanId))
         ++pruned_;
-    }
 }
 
 Tick
@@ -159,72 +165,38 @@ SpanBuffer::issueTickOf(std::uint64_t spanId, std::uint32_t attempt) const
 void
 buildSpanRun(SpanRun &run, const std::vector<SpanBuffer *> &bufs)
 {
-    const SpanParams &p = run.params;
-
-    // 1. Gather every retire record. A span retires on exactly one
-    // shard, so ids are unique; sorting by id gives an order that is
-    // independent of how the execution was partitioned.
+    // 1. Replay every shard's surviving retire records through one
+    // fresh buffer. A span retires on exactly one shard, so ids are
+    // unique; span-id order is independent of how the execution was
+    // partitioned.
     std::vector<SpanRetire> recs;
     for (const SpanBuffer *b : bufs) {
-        const auto &r = b->retired();
-        recs.insert(recs.end(), r.begin(), r.end());
+        run.recordedSpans += b->recorded();
+        for (const auto &r : b->records())
+            recs.push_back(r.second);
     }
     std::sort(recs.begin(), recs.end(),
               [](const SpanRetire &a, const SpanRetire &b) {
                   return a.spanId < b.spanId;
               });
-    run.recordedSpans = recs.size();
+    SpanBuffer merged(run.params);
+    for (const SpanRetire &rec : recs)
+        merged.retire(rec);
 
-    // 2. Selection: sampled, over-threshold, global top-K, and the
-    // per-tenant finishers.
-    std::unordered_map<std::uint64_t, const char *> keep;
-    for (const SpanRetire &rec : recs) {
-        if (p.sampled(rec.spanId))
-            keep.emplace(rec.spanId, "sampled");
-        else if (p.tailThreshold != 0 &&
-                 rec.totalTicks() >= p.tailThreshold)
-            keep.emplace(rec.spanId, "tail");
-    }
-    if (p.tailKeep != 0) {
-        std::vector<std::pair<Tick, std::uint64_t>> rest;
-        for (const SpanRetire &rec : recs)
-            if (!keep.count(rec.spanId))
-                rest.emplace_back(rec.totalTicks(), rec.spanId);
-        std::sort(rest.begin(), rest.end(), keepBetter);
-        for (std::size_t i = 0; i < rest.size() && i < p.tailKeep; ++i)
-            keep.emplace(rest[i].second, "tail");
-    }
-    std::unordered_map<std::uint16_t, const SpanRetire *> finishers;
-    for (const SpanRetire &rec : recs) {
-        auto [it, fresh] = finishers.try_emplace(rec.tenant, &rec);
-        if (!fresh &&
-            (rec.retireTick > it->second->retireTick ||
-             (rec.retireTick == it->second->retireTick &&
-              rec.spanId < it->second->spanId)))
-            it->second = &rec;
-    }
-    for (const auto &f : finishers)
-        keep.try_emplace(f.second->spanId, "finisher");
-
-    // 3. Build the kept records: merge each span's events from every
+    // 2. Build the kept records: merge each span's events from every
     // buffer and sort them into the canonical causal order.
-    for (const SpanRetire &rec : recs) {
-        auto kit = keep.find(rec.spanId);
-        if (kit == keep.end())
-            continue;
+    for (const auto &[id, rec] : merged.records()) {
         SpanRecord out;
         out.info = rec;
-        out.kept = kit->second;
-        auto fit = finishers.find(rec.tenant);
-        out.finisher =
-            fit != finishers.end() && fit->second->spanId == rec.spanId;
+        out.kept = merged.keptAs(id);
+        out.finisher = merged.isFinisher(id);
         for (const SpanBuffer *b : bufs) {
-            const std::vector<SpanEvent> *ev = b->eventsOf(rec.spanId);
+            const std::vector<SpanEvent> *ev = b->eventsOf(id);
             if (ev)
                 out.events.insert(out.events.end(), ev->begin(),
                                   ev->end());
         }
-        ns_assert(!out.events.empty(), "kept span ", hexId(rec.spanId),
+        ns_assert(!out.events.empty(), "kept span ", hexId(id),
                   " has no recorded events (flight recorder pruned a "
                   "selected span)");
         std::sort(out.events.begin(), out.events.end(), eventBefore);

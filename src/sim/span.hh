@@ -26,15 +26,15 @@
  *    the rest. A per-shard keep-heap under the global (total, spanId)
  *    order makes the pruning loss-free: a span retires on exactly one
  *    shard, so the global top-K is a subset of the union of per-shard
- *    top-Ks and the merged selection is shard-invariant. The
- *    per-tenant last-retiring span (the makespan finisher) is always
- *    kept so critical-path attribution of the makespan is possible.
+ *    top-Ks, and replaying the shards' survivors through one buffer
+ *    selects it. The per-tenant last-retiring span (the makespan
+ *    finisher) is always kept for critical-path attribution.
  *
  * The export schema is netsparse-spans-v1 (docs/observability.md);
  * spans are also emitted as Perfetto async-span events through the
  * TraceWriter when a trace is being captured. With spans disabled the
- * per-event cost is one null-pointer test behind a per-packet flag,
- * and every other output document is unchanged byte for byte.
+ * per-packet cost is one null-pointer test, and every other output
+ * document is unchanged byte for byte.
  */
 
 #ifndef NETSPARSE_SIM_SPAN_HH
@@ -198,17 +198,30 @@ class SpanBuffer
     }
 
     /**
-     * The issuing client's accepted response arrived: close the span.
-     * In tail mode this is where the flight recorder decides - spans
-     * that can no longer land in the kept set (not sampled, below the
-     * latency threshold, pushed out of the per-shard top-K keep-heap,
-     * and not the tenant's current last finisher) have their local
-     * events pruned immediately, bounding sequential-run memory.
+     * The issuing client's accepted response arrived: close the span
+     * under the one keep rule. A span is kept when it is sampled or at
+     * least the latency threshold, in the top-K of the rest, or its
+     * tenant's last finisher so far; one that drops out of all three
+     * loses its retire record and local events at once.
      */
     void retire(const SpanRetire &rec);
 
-    /** Retire-time summaries, in local retire order. */
-    const std::vector<SpanRetire> &retired() const { return retired_; }
+    /** Why @p spanId is kept so far ("sampled", "tail" or "finisher");
+     *  null when it is not, or did not retire here. */
+    const char *keptAs(std::uint64_t spanId) const;
+
+    /** True when @p spanId is its tenant's last-retiring span so far. */
+    bool isFinisher(std::uint64_t spanId) const;
+
+    /** Retire records of the spans still kept, by span id. */
+    const std::unordered_map<std::uint64_t, SpanRetire> &
+    records() const
+    {
+        return records_;
+    }
+
+    /** Spans retired here, kept or not. */
+    std::uint64_t recorded() const { return recorded_; }
 
     /** Spans whose events were pruned by the flight recorder. */
     std::uint64_t prunedSpans() const { return pruned_; }
@@ -228,10 +241,10 @@ class SpanBuffer
         return it == open_.end() ? nullptr : &it->second;
     }
 
-    const SpanParams &params() const { return params_; }
-
   private:
-    /** Drop @p spanId's local events unless some keeper references it. */
+    /** Sampled, or at least the latency threshold. */
+    bool keptOutright(const SpanRetire &rec) const;
+    /** Drop @p spanId's record and local events unless keptAs() it. */
     void maybePrune(std::uint64_t spanId);
 
     SpanParams params_;
@@ -241,14 +254,13 @@ class SpanBuffer
     /** Events by span id: local stages of own spans plus hop events of
      *  spans issued on other shards (never retired here). */
     std::unordered_map<std::uint64_t, std::vector<SpanEvent>> open_;
-    std::vector<SpanRetire> retired_;
+    std::unordered_map<std::uint64_t, SpanRetire> records_;
+    std::uint64_t recorded_ = 0;
 
     /** Tail keep-heap: min-heap of (total, spanId) under the global
      *  "larger total wins, smaller id breaks ties" order. */
     std::vector<std::pair<Tick, std::uint64_t>> heap_;
     std::unordered_set<std::uint64_t> heapIds_;
-    /** Spans kept outright (sampled or over the latency threshold). */
-    std::unordered_set<std::uint64_t> keptIds_;
     /** Per-tenant last-retiring span: tenant -> (retireTick, spanId). */
     std::unordered_map<std::uint16_t, std::pair<Tick, std::uint64_t>>
         finisher_;
@@ -281,12 +293,14 @@ struct SpanRun
 };
 
 /**
- * Merge the per-shard buffers of one run into @p run: apply the
- * selection (sampled union tail union per-tenant finishers), gather and
- * sort each kept span's events by (tick, stage rank, comp, dur,
- * detail) into its parent chain. Deterministic for any @p bufs
- * partition of the same execution, which is what makes the document
- * byte-identical at 1/2/4 shards.
+ * Merge the per-shard buffers of one run into @p run: replay their
+ * surviving retire records, in span-id order, through one fresh
+ * SpanBuffer, and for each span it keeps gather and sort the events of
+ * every buffer by (tick, stage rank, comp, dur, detail) into its parent
+ * chain. A span retires on exactly one shard and each shard keeps its
+ * own top-K under the global order, so the replay keeps exactly what
+ * one buffer over the whole run would: the document is byte-identical
+ * at 1/2/4 shards.
  */
 void buildSpanRun(SpanRun &run, const std::vector<SpanBuffer *> &bufs);
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/run_document.hh"
 
 namespace netsparse {
 
@@ -23,12 +24,11 @@ std::string
 traceArgs(std::initializer_list<std::pair<const char *, double>> kvs)
 {
     std::ostringstream os;
-    bool first = true;
+    const char *sep = "";
     for (const auto &[k, v] : kvs) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << '"' << k << "\":" << v;
+        os << sep << '"' << k << "\":";
+        writeJsonNumber(os, v);
+        sep = ",";
     }
     return os.str();
 }
@@ -39,10 +39,8 @@ TraceWriter::open(const std::string &path)
     if (enabled_)
         close();
     std::FILE *probe = std::fopen(path.c_str(), "w");
-    if (!probe) {
-        ns_warn("cannot open trace output ", path);
+    if (!probe)
         return false;
-    }
     std::fclose(probe);
 
     path_ = path;
@@ -152,7 +150,7 @@ TraceWriter::writeEvents(std::FILE *f)
             std::fprintf(f, ",\"cat\":\"span\",\"id\":\"0x%llx\"",
                          static_cast<unsigned long long>(e.id));
         if (e.ph == 'C')
-            std::fprintf(f, ",\"args\":{\"value\":%g}", e.value);
+            std::fprintf(f, ",\"args\":{\"value\":%.17g}", e.value);
         else if (!e.args.empty())
             std::fprintf(f, ",\"args\":{%s}", e.args.c_str());
         std::fputc('}', f);

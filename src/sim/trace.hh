@@ -43,7 +43,8 @@ namespace netsparse {
 
 /**
  * Render a trace-event argument dictionary body ("k1":v1,"k2":v2) from
- * numeric key/value pairs. Only built when a trace is being captured,
+ * numeric key/value pairs, every digit kept (writeJsonNumber, as in
+ * the other documents). Only built when a trace is being captured,
  * so the std::string cost is off the simulation fast path.
  */
 std::string
@@ -63,7 +64,7 @@ class TraceWriter : public ThreadBound<TraceWriter>
      * Start capturing and arrange for the trace to land at @p path
      * (written on close(), which the destructor also runs, so a run
      * that ends in an exception still leaves its trace).
-     * @return false when the path is not writable.
+     * @return false when the path is not writable; the caller reports it.
      */
     bool open(const std::string &path);
 

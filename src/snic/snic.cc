@@ -34,15 +34,12 @@ Snic::Snic(EventQueue &eq, SnicConfig cfg, NodeId self,
                 for (const auto &pr : pkt.prs)
                     board->stampEgress(pr, eq_.now());
             }
-            if (pkt.spanned) {
-                if (SpanBuffer *sb = eq_.spans()) {
-                    for (const auto &pr : pkt.prs)
-                        if (pr.traced)
-                            sb->record(sb->idOf(pr), SpanStage::NicEgress,
-                                       spanComp_, eq_.now(), 0,
-                                       pkt.prs.size());
-                }
-            }
+            if (SpanBuffer *sb = eq_.spans())
+                for (const auto &pr : pkt.prs)
+                    if (pr.traced)
+                        sb->record(sb->idOf(pr), SpanStage::NicEgress,
+                                   spanComp_, eq_.now(), 0,
+                                   pkt.prs.size());
             egress_->send(std::move(pkt));
         },
         name_ + ".concat");

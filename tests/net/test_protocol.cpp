@@ -135,7 +135,6 @@ TEST(Protocol, ResponseRewriteKeepsSpanIdentity)
     read.dest = 1;
     read.type = PrType::Read;
     read.concatenated = true;
-    read.spanned = true;
     read.prs.push_back(tracedRead(9));
     tor.receivePacket(std::move(read), 0);
     eq.run();
@@ -146,7 +145,6 @@ TEST(Protocol, ResponseRewriteKeepsSpanIdentity)
     ASSERT_EQ(hit.prs.size(), 1u);
     expectSameIdentity(hit.prs[0], tracedRead(9));
     EXPECT_TRUE(hit.prs[0].servedByCache);
-    EXPECT_TRUE(hit.spanned);
 }
 
 TEST(Protocol, PaperHeaderArithmetic)

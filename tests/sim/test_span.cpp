@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the span-tracing primitives: the deterministic
  * sampling hash, the SpanParams capture-mode logic, the flight
- * recorder's loss-free tail pruning, the shard-partition invariance
- * of buildSpanRun, the critical-path tiling property, and
+ * recorder's loss-free tail pruning and bounded retire records, the
+ * shard-partition invariance of buildSpanRun, the critical-path tiling
+ * property, and
  * TraceWriter::derivedPath (the per-point/per-shard file naming the
  * sweep and shard engines use).
  */
@@ -104,7 +105,37 @@ TEST(SpanBuffer, TailKeepPrunesEverythingOutsideTopK)
     EXPECT_EQ(buf.eventsOf(1), nullptr);
     EXPECT_EQ(buf.eventsOf(2), nullptr);
     EXPECT_GE(buf.prunedSpans(), 2u);
-    EXPECT_EQ(buf.retired().size(), 5u);
+    EXPECT_EQ(buf.recorded(), 5u);
+    // Only the two survivors keep their retire records.
+    EXPECT_EQ(buf.records().size(), 2u);
+    EXPECT_STREQ(buf.keptAs(5), "tail");
+    EXPECT_STREQ(buf.keptAs(4), "tail");
+    EXPECT_EQ(buf.keptAs(3), nullptr);
+    EXPECT_TRUE(buf.isFinisher(5));
+    EXPECT_FALSE(buf.isFinisher(4));
+}
+
+TEST(SpanBuffer, TailModeHoldsAtMostTopKPlusFinisherRecords)
+{
+    const std::uint32_t k = 8;
+    SpanParams p;
+    p.tailKeep = k;
+    SpanBuffer buf(p);
+    std::uint64_t state = 12345;
+    for (std::uint64_t id = 1; id <= 10000; ++id) {
+        state = splitmix64(state);
+        Tick issue = id * 10;
+        buf.record(id, SpanStage::Issue, 0, issue);
+        buf.retire(mkRetire(id, issue, issue + state % 5000,
+                            static_cast<std::uint16_t>(id % 3)));
+        ASSERT_LE(buf.records().size(), k + 3) << id;
+    }
+    EXPECT_EQ(buf.recorded(), 10000u);
+    // Every surviving record still has its events, and nothing else
+    // does.
+    for (const auto &r : buf.records())
+        EXPECT_NE(buf.eventsOf(r.first), nullptr);
+    EXPECT_EQ(buf.prunedSpans(), 10000u - buf.records().size());
 }
 
 TEST(SpanBuffer, FinisherSurvivesPruningEvenWithTinyLatency)
@@ -120,6 +151,7 @@ TEST(SpanBuffer, FinisherSurvivesPruningEvenWithTinyLatency)
     // so its events must not be pruned.
     EXPECT_NE(buf.eventsOf(10), nullptr);
     EXPECT_NE(buf.eventsOf(11), nullptr);
+    EXPECT_STREQ(buf.keptAs(11), "finisher");
 }
 
 TEST(SpanRun, MergeIsInvariantToHowBuffersPartitionTheRun)

@@ -163,6 +163,20 @@ TEST(TraceWriter, CompleteEventsCarryDurations)
     EXPECT_TRUE(found);
 }
 
+TEST(TraceWriter, NumbersKeepEveryDigit)
+{
+    // 6 significant digits print these as 1.04858e+06 and 2.5e+06.
+    EXPECT_EQ(traceArgs({{"idx", 1048577}}), "\"idx\":1048577");
+
+    TempFile out("trace_digits");
+    TraceWriter &tw = TraceWriter::instance();
+    ASSERT_TRUE(tw.open(out.path()));
+    tw.counter(tw.track("comp"), "pendingEvents", 0, 2'500'000.0);
+    tw.close();
+    EXPECT_NE(slurp(out.path()).find("\"value\":2500000}"),
+              std::string::npos);
+}
+
 TEST(TraceWriter, ThreadNameMetadataNamesEveryTrack)
 {
     TempFile out("trace_meta");
