@@ -83,7 +83,7 @@ Link::send(Packet &&pkt)
                                                deliverySeq_++);
     // Zero-latency links cannot train: a same-tick flush could race
     // the append (and such configurations run single-shard anyway).
-    if (cfg_.batchMaxPackets > 1 && cfg_.latency > 0) {
+    if (cfg_.batched && cfg_.latency > 0) {
         sendBatched(arrival, key, start, std::move(pkt));
         return;
     }
@@ -113,7 +113,7 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
     // nondecreasing front to back - no delivery can overtake another.
     if (!trains_.empty()) {
         Train &back = trains_.back();
-        if (back.count < cfg_.batchMaxPackets && arrival <= back.deadline) {
+        if (back.count < kTrainMaxPackets && arrival <= back.deadline) {
             ++back.count;
             if (outbox_)
                 outbox_->push(PendingDelivery{back.deadline, key, sink_,
@@ -131,14 +131,13 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
         !trains_.empty() && arrival <= trains_.back().deadline;
     if (backlogged || would_overtake) {
         Train t;
-        t.deadline = arrival + cfg_.batchHoldTicks;
+        t.deadline = arrival + kTrainHoldTicks;
         t.count = 1;
         if (outbox_) {
             outbox_->push(PendingDelivery{t.deadline, key, sink_,
                                           sinkPort_, std::move(pkt)});
         } else {
-            t.pkts = BufferArena<Packet>::local().acquire(
-                cfg_.batchMaxPackets);
+            t.pkts = BufferArena<Packet>::local().acquire(kTrainMaxPackets);
             t.pkts.push_back(std::move(pkt));
             eq_.scheduleDelivery(t.deadline, key,
                                  [this] { flushTrain(); });

@@ -64,20 +64,18 @@ struct LinkConfig
 
     /**
      * Delivery-train batching (docs/scaling.md). When a burst backs up
-     * the wire, consecutive deliveries whose arrival falls within
-     * batchHoldTicks of the train head are executed by one scheduled
-     * event at the train's deadline, in exact (tick, key) order;
-     * telemetry-identified link backlogs are where the event count
-     * concentrates, and this collapses them by up to batchMaxPackets.
-     * Deliveries on an idle wire stay exactly on time. 1 disables
-     * (the default: timing-exact per-packet delivery). Statistics stay
-     * byte-identical across shard counts either way - a cross-shard
-     * train splits into per-packet events at the same ticks and keys,
-     * and the executed-event accounting matches by construction.
+     * the wire, consecutive deliveries whose arrival falls within the
+     * hold window of the train head are executed by one scheduled event
+     * at the train's deadline, in exact (tick, key) order; telemetry-
+     * identified link backlogs are where the event count concentrates,
+     * and this collapses them by up to Link::kTrainMaxPackets.
+     * Deliveries on an idle wire stay exactly on time. Off by default
+     * (timing-exact per-packet delivery). Statistics stay byte-identical
+     * across shard counts either way - a cross-shard train splits into
+     * per-packet events at the same ticks and keys, and the
+     * executed-event accounting matches by construction.
      */
-    std::uint32_t batchMaxPackets = 1;
-    /** Train hold window beyond the head packet's arrival. */
-    Tick batchHoldTicks = 500 * ticks::ns;
+    bool batched = false;
 };
 
 /** One directed link. */
@@ -170,6 +168,10 @@ class Link
     const LinkConfig &config() const { return cfg_; }
 
   private:
+    /** Train cap and hold window past the head's arrival (batched). */
+    static constexpr std::uint32_t kTrainMaxPackets = 16;
+    static constexpr Tick kTrainHoldTicks = 500 * ticks::ns;
+
     /**
      * A delivery train: packets whose arrivals share one hold window,
      * delivered together at @p deadline by a single event (intra-shard)

@@ -86,13 +86,13 @@ struct ClusterConfig
 
     /**
      * Batched event execution (docs/scaling.md): turns on link
-     * delivery trains (LinkConfig::batchMaxPackets) and batched server
+     * delivery trains (LinkConfig::batched) and batched server
      * reads (SnicConfig::batchedServerReads) across the cluster.
      * Deterministic and shard-invariant, but a coarser timing model
      * than the default per-event execution: deliveries backed up on a
      * wire may land up to the train hold window late, and a packet's
      * read responses leave together at the last fetch completion. The
-     * perf benchmark and the paper-scale presets enable it; figure
+     * host benchmark and the paper-scale presets enable it; figure
      * reproductions keep it off.
      */
     bool eventBatching = false;
@@ -187,7 +187,7 @@ struct GatherRunResult
     double tailGoodput = 0.0;
     double tailLineUtil = 0.0;
 
-    /** Simulator events dispatched during the run (for bench_perf). */
+    /** Simulator events dispatched during the run (sim.executedEvents). */
     std::uint64_t executedEvents = 0;
     /** Simulated time when the event queue drained. */
     Tick finalTick = 0;

@@ -846,8 +846,7 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
 JobScheduler::JobScheduler(ClusterConfig cfg) : cfg_(std::move(cfg))
 {
     if (cfg_.eventBatching) {
-        if (cfg_.link.batchMaxPackets <= 1)
-            cfg_.link.batchMaxPackets = 16;
+        cfg_.link.batched = true;
         cfg_.snic.batchedServerReads = true;
     }
     // A lossy fabric needs the reliable-PR layer to terminate; the

@@ -1,9 +1,9 @@
 #include "sim/logging.hh"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace netsparse {
 
@@ -26,20 +26,17 @@ verbose()
 bool
 readUint(const char *text, std::uint64_t &v)
 {
-    errno = 0;
-    char *end = nullptr;
-    v = std::strtoull(text, &end, 10);
-    return errno == 0 && std::isdigit(static_cast<unsigned char>(*text)) &&
-           *end == '\0';
+    const char *end = text + std::strlen(text);
+    auto [last, ec] = std::from_chars(text, end, v);
+    return ec == std::errc() && last == end;
 }
 
 bool
 readNumber(const char *text, double &v, bool positive)
 {
-    errno = 0;
-    char *end = nullptr;
-    v = std::strtod(text, &end);
-    return errno == 0 && end != text && *end == '\0' && std::isfinite(v) &&
+    const char *end = text + std::strlen(text);
+    auto [last, ec] = std::from_chars(text, end, v);
+    return ec == std::errc() && last == end && std::isfinite(v) &&
            v >= 0.0 && !(positive && v == 0.0);
 }
 

@@ -57,9 +57,9 @@ void setVerbose(bool verbose);
 bool verbose();
 
 /** The grammar of parseUint() and parseNumber() without the error, for
- *  parsers that report failure themselves: false when @p text is not a
- *  whole base-10 integer of 64 bits (a finite number >= 0, > 0 when
- *  @p positive), and @p v then holds no meaningful value. */
+ *  parsers that report failure themselves: false when std::from_chars
+ *  does not read all of @p text as a base-10 integer of 64 bits (a
+ *  finite number >= 0, > 0 when @p positive): no space, sign or hex. */
 bool readUint(const char *text, std::uint64_t &v);
 bool readNumber(const char *text, double &v, bool positive = false);
 

@@ -243,9 +243,10 @@ TEST(BackgroundTraffic, SpecParsing)
          {"incast", "bogus:0.5", "incast:0", "incast:-0.5", "incast:1.5",
           "incast:0.5:0", "incast:0.5:10:0", "incast:0.5:10:64:extra",
           ":0.5", "incast:abc",
-          // The command line's number grammar: no sign or space, no
-          // wrap-around, no truncation to 32 bits.
-          "incast:+0.5: 100", "incast:0.5:-1", "incast:0.5:4294967296"}) {
+          // The command line's number grammar: no sign, space or hex
+          // float, no wrap-around, no truncation to 32 bits.
+          "incast:+0.5: 100", "incast:+0.5:100", "incast: 0.5:100",
+          "incast:0x1p-1:100", "incast:0.5:-1", "incast:0.5:4294967296"}) {
         EXPECT_FALSE(BackgroundTrafficConfig::parse(bad, bg)) << bad;
         EXPECT_EQ(bg.pattern, keep.pattern) << bad;
         EXPECT_DOUBLE_EQ(bg.load, keep.load) << bad;

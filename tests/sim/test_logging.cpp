@@ -47,7 +47,8 @@ TEST(Logging, ParseNumberIsWholeAndFinite)
     EXPECT_DOUBLE_EQ(parseNumber("--s", "0.25"), 0.25);
     EXPECT_DOUBLE_EQ(parseNumber("--s", "0"), 0.0);
     EXPECT_THROW(parseNumber("--s", "0", true), FatalError);
-    for (const char *bad : {"", "0.05x", "-1", "inf", "nan", "1e400"})
+    for (const char *bad : {"", "0.05x", "-1", "inf", "nan", "1e400",
+                            " 0.05", "+0.05", "0x1p-4"})
         EXPECT_THROW(parseNumber("--s", bad), FatalError) << bad;
 }
 
