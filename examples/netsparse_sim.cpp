@@ -3,9 +3,13 @@
  * netsparse_sim: the command-line front end to the cluster simulator.
  *
  * Runs one distributed gather with full control over the workload and
- * the hardware configuration, and prints either a human summary or the
- * complete stats registry. This is the tool a user points at their own
- * Matrix Market file to see what NetSparse would do for their workload.
+ * the hardware configuration, and prints a human summary. This is the
+ * tool a user points at their own Matrix Market file to see what
+ * NetSparse would do for their workload. A named matrix under
+ * `--partition rows` is generated straight into per-node partitions
+ * (no global COO/CSR is ever held: the paper-scale path, see
+ * docs/scaling.md); a .mtx file or `--partition nnz` builds the global
+ * CSR first. Several jobs run copies of one workload.
  *
  * Usage:
  *   netsparse_sim [options]
@@ -22,10 +26,6 @@
  *     --no-cache           disable the Property Cache
  *     --cache-bytes B      Property Cache capacity per ToR
  *     --partition P        rows|nnz                      (default rows)
- *     --stream             stream-generate the matrix directly into
- *                          per-node partitions (named matrices only;
- *                          no global COO/CSR is ever held - the
- *                          paper-scale path, see docs/scaling.md)
  *     --batched-events     coarser event batching (delivery trains +
  *                          batched server reads); the paper-scale
  *                          preset. Figure reproductions leave it off.
@@ -50,7 +50,6 @@
  *                          ToR Property Cache slices
  *     --shards N           parallel-engine shards; 0 consults
  *                          NETSPARSE_SIM_SHARDS             (default 0)
- *     --stats              dump the full stats registry
  *     --stats-json FILE    write a JSON stats snapshot (the
  *                          docs/observability.md metrics contract)
  *     --trace-out FILE     capture a Chrome-trace/Perfetto event trace
@@ -79,7 +78,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <string>
 
 #include "runtime/cluster.hh"
@@ -87,7 +85,6 @@
 #include "sim/logging.hh"
 #include "sim/outputs.hh"
 #include "sim/span.hh"
-#include "sim/stats.hh"
 #include "sim/telemetry.hh"
 #include "sparse/generators.hh"
 #include "sparse/mmio.hh"
@@ -107,9 +104,8 @@ usage(const char *argv0)
                  "dragonfly]\n"
                  "  [--batch B] [--adaptive] [--virtual-cqs] "
                  "[--no-cache]\n"
-                 "  [--cache-bytes B] [--partition rows|nnz] "
-                 "[--shards N] [--stats]\n"
-                 "  [--stream] [--batched-events] [--memory-stats]\n"
+                 "  [--cache-bytes B] [--partition rows|nnz]\n"
+                 "  [--shards N] [--batched-events] [--memory-stats]\n"
                  "  [--faults drop:R,corrupt:R,down:R,downUs:T,"
                  "degrade:R,degradeUs:T,\n"
                  "            degradeFactor:F,seed:S]\n"
@@ -174,9 +170,8 @@ try {
     std::uint64_t cache_bytes = 0;
     std::string partition = "rows";
     std::uint32_t shards = 0;
-    bool stream = false, batched_events = false;
+    bool batched_events = false;
     bool memory_stats = false;
-    bool dump_stats = false;
     std::string faults_spec;
     Tick telemetry_interval = 10 * ticks::us;
     std::uint32_t span_sample = 0, span_tail_keep = 0;
@@ -223,8 +218,6 @@ try {
             partition = next();
         else if (a == "--shards")
             shards = parseUint32("--shards", next());
-        else if (a == "--stream")
-            stream = true;
         else if (a == "--batched-events")
             batched_events = true;
         else if (a == "--memory-stats")
@@ -233,8 +226,6 @@ try {
             faults_spec = next();
         else if (a.rfind("--faults=", 0) == 0)
             faults_spec = a.substr(9);
-        else if (a == "--stats")
-            dump_stats = true;
         else if (a == "--telemetry-interval")
             telemetry_interval =
                 parseMicros("--telemetry-interval", next());
@@ -280,15 +271,8 @@ try {
                  "incast|alltoall|storage",
                  background_spec);
     // Multi-tenant runs (several jobs, or one job sharing the fabric
-    // with background traffic) export the cluster.tenant<t>.* schema,
-    // so the flat --stats dump of legacy cluster keys does not apply.
+    // with background traffic) print a per-job summary.
     const bool multi = num_jobs > 1 || bg.enabled();
-    if (multi && dump_stats) {
-        std::fprintf(stderr,
-                     "--stats dumps the single-job document; use "
-                     "--stats-json with --jobs/--background\n");
-        return 2;
-    }
 
     ClusterConfig cfg = defaultClusterConfig(nodes);
     if (topology == "hyperx")
@@ -313,10 +297,6 @@ try {
             named_kind = kind;
         }
     }
-    if (stream && !named)
-        ns_fatal("--stream generates; it cannot read a .mtx file");
-    if (stream && partition == "nnz")
-        ns_fatal("--stream builds equal-rows partitions");
 
     if (stage >= 0)
         cfg.features = FeatureSet::ablationStage(
@@ -356,10 +336,9 @@ try {
                  "recorded");
 
     // --- Workload ---
-    Csr m;
     GatherWorkload work;
     std::uint64_t mat_rows = 0, mat_cols = 0, mat_nnz = 0;
-    if (stream) {
+    if (named && partition == "rows") {
         PartitionedMatrix pm =
             buildPartitionedBenchmark(named_kind, scale, nodes);
         mat_rows = pm.rows;
@@ -367,6 +346,7 @@ try {
         mat_nnz = pm.nnz;
         work = GatherWorkload::take(std::move(pm));
     } else {
+        Csr m;
         if (named) {
             m = makeBenchmarkMatrix(named_kind, scale);
         } else {
@@ -378,27 +358,20 @@ try {
         mat_rows = m.rows;
         mat_cols = m.cols;
         mat_nnz = m.nnz();
+        work = GatherWorkload::slice(
+            m, partition == "nnz" ? Partition1D::equalNnz(m, nodes)
+                                  : Partition1D::equalRows(m.rows, nodes));
     }
-    Partition1D part;
-    if (!stream)
-        part = partition == "nnz" ? Partition1D::equalNnz(m, nodes)
-                                  : Partition1D::equalRows(m.rows, nodes);
 
-    std::printf("netsparse_sim: %s (%llu x %llu, %llu nnz%s), %u nodes, "
+    std::printf("netsparse_sim: %s (%llu x %llu, %llu nnz), %u nodes, "
                 "K=%u, %s\n",
                 matrix_arg.c_str(), (unsigned long long)mat_rows,
                 (unsigned long long)mat_cols, (unsigned long long)mat_nnz,
-                stream ? ", streamed" : "", nodes, k, topology.c_str());
+                nodes, k, topology.c_str());
 
-    auto make_work = [&]() {
-        if (!stream)
-            return GatherWorkload::slice(m, part);
-        return GatherWorkload::take(
-            buildPartitionedBenchmark(named_kind, scale, nodes));
-    };
     std::vector<JobSpec> specs(num_jobs);
     for (std::uint32_t j = 0; j < num_jobs; ++j) {
-        specs[j].work = stream && j == 0 ? std::move(work) : make_work();
+        specs[j].work = j + 1 < num_jobs ? work : std::move(work);
         specs[j].k = k;
         specs[j].name = "job" + std::to_string(j);
     }
@@ -435,13 +408,6 @@ try {
     }
 
     const GatherRunResult &r = mr.jobs[0];
-    if (dump_stats) {
-        StatRegistry reg;
-        r.exportStats(reg);
-        reg.dump(std::cout);
-        return 0;
-    }
-
     const NodeRunStats &tail = r.tail();
     std::printf("\ncommunication time : %10.2f us  (tail node %u)\n",
                 ticks::toNs(r.commTicks) / 1e3, r.tailNode);

@@ -96,7 +96,7 @@ def main():
         import matplotlib.pyplot as plt
     except ImportError:
         sys.exit("plot_telemetry.py needs matplotlib "
-                 "(the validator scripts/validate_telemetry.py does not)")
+                 "(the validator scripts/validate_outputs.py does not)")
 
     run = load_run(args.telemetry, args.run)
     t_us = [t / 1e6 for t in run["sampleTicks"]]  # ticks (ps) -> us

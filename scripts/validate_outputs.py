@@ -234,7 +234,7 @@ def check_spans(doc, errors):
             )
 
 
-def validate_file(path, want_schema=None):
+def validate_file(path):
     """Returns a list of violation messages (empty = valid)."""
     try:
         with open(path) as f:
@@ -244,8 +244,6 @@ def validate_file(path, want_schema=None):
     if not isinstance(doc, dict):
         return ["top level is not an object"]
     schema = doc.get("schema")
-    if want_schema is not None and schema != want_schema:
-        return [f"schema is {schema!r}, want {want_schema!r}"]
     errors = []
     if schema == TELEMETRY_SCHEMA:
         check_telemetry(doc, errors)

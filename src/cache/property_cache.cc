@@ -27,32 +27,29 @@ segmentEnableMask(std::uint32_t numSegments,
 PropertyCache::PropertyCache(const PropertyCacheConfig &cfg) : cfg_(cfg)
 {
     ns_assert(cfg_.ways > 0, "cache needs at least one way");
-    ns_assert(cfg_.minLineBytes > 0 &&
-                  cfg_.maxLineBytes % cfg_.minLineBytes == 0,
-              "line sizes must nest");
     // The way array is allocated lazily by configureForKernel, sized
     // for the mode the kernel actually uses - not for the worst-case
     // minimum-line mode, whose array can be 4x larger.
-    lineBytes_ = cfg_.minLineBytes;
+    lineBytes_ = kMinLineBytes;
 }
 
 void
 PropertyCache::configureForKernel(std::uint32_t propertyBytes)
 {
     if (!enabled()) {
-        lineBytes_ = cfg_.minLineBytes;
+        lineBytes_ = kMinLineBytes;
         numSets_ = 0;
         ways_.reset();
         wayCapacity_ = 0;
         return;
     }
-    if (propertyBytes > cfg_.maxLineBytes) {
+    if (propertyBytes > kMaxLineBytes) {
         ns_fatal("property size ", propertyBytes,
-                 " exceeds the largest cache line ", cfg_.maxLineBytes,
+                 " exceeds the largest cache line ", kMaxLineBytes,
                  "; tile the property array (Section 6.2.2)");
     }
     // Round the mode up to the next supported line size.
-    lineBytes_ = cfg_.minLineBytes;
+    lineBytes_ = kMinLineBytes;
     while (lineBytes_ < propertyBytes)
         lineBytes_ *= 2;
 

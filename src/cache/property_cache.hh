@@ -33,16 +33,8 @@ struct PropertyCacheConfig
 {
     /** Total data capacity in bytes; 0 disables the cache. */
     std::uint64_t totalBytes = 32ull << 20;
-    /** Smallest supported property ("min cache line"). */
-    std::uint32_t minLineBytes = 16;
-    /** Largest supported property ("max cache line"). */
-    std::uint32_t maxLineBytes = 512;
-    /** Number of 16 B data segments (maxLine / minLine). */
-    std::uint32_t numSegments = 32;
     /** Associativity. */
     std::uint32_t ways = 16;
-    /** Access latency in switch-pipe cycles (Table 5: 16). */
-    std::uint32_t latencyCycles = 16;
 };
 
 /**
@@ -58,6 +50,15 @@ std::uint32_t segmentEnableMask(std::uint32_t numSegments,
 class PropertyCache
 {
   public:
+    /** Smallest supported property ("min cache line"). */
+    static constexpr std::uint32_t kMinLineBytes = 16;
+    /** Largest supported property ("max cache line"). */
+    static constexpr std::uint32_t kMaxLineBytes = 512;
+    /** Number of 16 B data segments, one enable bit each (Figure 9). */
+    static constexpr std::uint32_t kNumSegments =
+        kMaxLineBytes / kMinLineBytes;
+    static_assert(kNumSegments == 32, "segmentEnableMask is 32 bits");
+
     explicit PropertyCache(const PropertyCacheConfig &cfg);
 
     /**
@@ -87,7 +88,6 @@ class PropertyCache
     std::uint64_t capacityEntries() const { return numSets_ * cfg_.ways; }
 
     std::uint32_t lineBytes() const { return lineBytes_; }
-    std::uint32_t latencyCycles() const { return cfg_.latencyCycles; }
     bool enabled() const { return cfg_.totalBytes > 0; }
 
     // Statistics.

@@ -21,7 +21,7 @@ HostNode::HostNode(EventQueue &eq, HostConfig cfg, Snic &snic,
         std::uint64_t per_unit =
             stream_.size() / (2ull * std::max(1u, snic_.numClientUnits()));
         cfg_.batchSize = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-            per_unit, cfg_.autoBatchMin, cfg_.autoBatchMax));
+            per_unit, cfg_.autoBatchMin, kAutoBatchMax));
     }
 }
 
@@ -48,7 +48,7 @@ HostNode::pump()
 
     issueScheduled_ = true;
     Tick start = std::max(eq_.now(), coreFreeAt_);
-    coreFreeAt_ = start + cfg_.commandIssueOverhead;
+    coreFreeAt_ = start + kCommandIssueOverhead;
     eq_.schedule(coreFreeAt_, [this] {
         issueScheduled_ = false;
 
@@ -127,7 +127,7 @@ HostNode::drainCq()
             cfg_.batchSize =
                 std::max(cfg_.autoBatchMin, cfg_.batchSize / 2);
         } else {
-            cfg_.batchSize = std::min(cfg_.autoBatchMax,
+            cfg_.batchSize = std::min(kAutoBatchMax,
                                       cfg_.batchSize +
                                           cfg_.batchSize / 4);
         }

@@ -45,16 +45,13 @@ struct HostConfig
      * Nonzeros per RIG command (paper default 32k / 8k per matrix).
      * 0 selects automatic sizing: the stream is split so every client
      * RIG unit gets work (about two batches each), clamped to
-     * [autoBatchMin, autoBatchMax]. This keeps scaled-down matrices
-     * from collapsing onto a single unit.
+     * [autoBatchMin, HostNode::kAutoBatchMax]. This keeps scaled-down
+     * matrices from collapsing onto a single unit.
      */
     std::uint32_t batchSize = 0;
     std::uint32_t autoBatchMin = 512;
-    std::uint32_t autoBatchMax = 32768;
     /** Batch-size selection policy. */
     BatchPolicy policy = BatchPolicy::Static;
-    /** Core time to assemble and post one work request. */
-    Tick commandIssueOverhead = 250 * ticks::ns;
     /**
      * Re-posts of a RIG command after a watchdog/retry-budget failure
      * before the host gives up on that batch. The zero-fault path never
@@ -97,6 +94,11 @@ class HostNode
     std::uint64_t commandsIssued() const { return commandsIssued_; }
 
   private:
+    /** Largest automatic or adaptive batch (paper default 32k). */
+    static constexpr std::uint32_t kAutoBatchMax = 32768;
+    /** Core time to assemble and post one work request. */
+    static constexpr Tick kCommandIssueOverhead = 250 * ticks::ns;
+
     /** One posted batch, remembered until its completion arrives so a
      *  watchdog-failed command can be re-posted (retry-after-failure). */
     struct InflightBatch

@@ -83,21 +83,26 @@ Link::send(Packet &&pkt)
                                                deliverySeq_++);
     // Zero-latency links cannot train: a same-tick flush could race
     // the append (and such configurations run single-shard anyway).
-    if (cfg_.batched && cfg_.latency > 0) {
+    if (cfg_.batched && cfg_.latency > 0)
         sendBatched(arrival, key, start, std::move(pkt));
-        return;
-    }
+    else
+        deliverAt(arrival, key, std::move(pkt));
+}
+
+void
+Link::deliverAt(Tick when, std::uint64_t key, Packet &&pkt)
+{
     if (outbox_) {
         // Cross-shard edge: hand the packet to the destination shard's
         // mailbox; it schedules the delivery on its own queue under the
         // same key at the next epoch barrier.
-        outbox_->push(PendingDelivery{arrival, key, sink_, sinkPort_,
+        outbox_->push(PendingDelivery{when, key, sink_, sinkPort_,
                                       std::move(pkt)});
         return;
     }
     // The callback owns the packet until delivery (moved into pooled
     // event storage; no heap holder).
-    eq_.scheduleDelivery(arrival, key,
+    eq_.scheduleDelivery(when, key,
                          [this, p = std::move(pkt)]() mutable {
                              sink_->receivePacket(std::move(p), sinkPort_);
                          });
@@ -146,15 +151,7 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
         return;
     }
     // Idle wire: deliver exactly on time, per packet.
-    if (outbox_) {
-        outbox_->push(PendingDelivery{arrival, key, sink_, sinkPort_,
-                                      std::move(pkt)});
-        return;
-    }
-    eq_.scheduleDelivery(arrival, key,
-                         [this, p = std::move(pkt)]() mutable {
-                             sink_->receivePacket(std::move(p), sinkPort_);
-                         });
+    deliverAt(arrival, key, std::move(pkt));
 }
 
 void

@@ -184,6 +184,10 @@ class Link
         std::vector<Packet> pkts; // empty on cross-shard links
     };
 
+    /** Deliver @p pkt alone at @p when under @p key: through the
+     *  cross-shard mailbox, else as one event on this queue. */
+    void deliverAt(Tick when, std::uint64_t key, Packet &&pkt);
+
     /** Route one sent packet through the train batcher. */
     void sendBatched(Tick arrival, std::uint64_t key, Tick start,
                      Packet &&pkt);

@@ -11,8 +11,7 @@ Switch::Switch(EventQueue &eq, SwitchConfig cfg, SwitchId id,
                std::string name)
     : eq_(eq), cfg_(cfg), id_(id), name_(std::move(name))
 {
-    Clock pipe_clock(cfg_.pipeClockHz);
-    cacheLatency_ = pipe_clock.cycles(cfg_.cache.latencyCycles);
+    cacheLatency_ = Clock(kPipeClockHz).cycles(kCacheLatencyCycles);
     if (cfg_.numTenants > 1)
         servedByCacheTenant_.assign(cfg_.numTenants, 0);
 }
@@ -39,8 +38,8 @@ Switch::configureForKernel(std::uint32_t prop_bytes)
     ns_assert(!out_.empty(), "configure called before ports attached");
 
     std::uint32_t pipes =
-        (static_cast<std::uint32_t>(out_.size()) + cfg_.portsPerPipe - 1) /
-        cfg_.portsPerPipe;
+        (static_cast<std::uint32_t>(out_.size()) + kPortsPerPipe - 1) /
+        kPortsPerPipe;
 
     if (caches_.empty()) {
         if (cfg_.tenantCachePartitioned && cfg_.numTenants > 1) {

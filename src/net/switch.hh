@@ -55,10 +55,6 @@ struct SwitchConfig
     ProtocolParams proto;
     /** Ingress-to-egress pipeline latency (Table 5: 300 ns). */
     Tick pipelineLatency = 300 * ticks::ns;
-    /** Ports grouped per pipe (32 ports / 8 pipes = 4). */
-    std::uint32_t portsPerPipe = 4;
-    /** Switch pipe clock (2 GHz). */
-    double pipeClockHz = 2e9;
     /** True for ToR switches carrying the NetSparse extensions. */
     bool netsparseEnabled = false;
     /** Per-middle-pipe concatenator settings (delay in ticks). */
@@ -102,6 +98,9 @@ struct SwitchConfig
 class Switch : public PacketSink
 {
   public:
+    /** Switch pipe clock (2 GHz). */
+    static constexpr double kPipeClockHz = 2e9;
+
     Switch(EventQueue &eq, SwitchConfig cfg, SwitchId id,
            std::string name);
 
@@ -174,11 +173,16 @@ class Switch : public PacketSink
     }
 
   private:
+    /** Ports grouped per pipe (32 ports / 8 pipes = 4). */
+    static constexpr std::uint32_t kPortsPerPipe = 4;
+    /** Property Cache access latency in pipe cycles (Table 5: 16). */
+    static constexpr std::uint32_t kCacheLatencyCycles = 16;
+
     void forward(Packet &&pkt);
     void processMiddlePipe(Packet &&pkt, std::uint32_t inPort);
     std::uint32_t pipeOf(std::uint32_t port) const
     {
-        return port / cfg_.portsPerPipe;
+        return port / kPortsPerPipe;
     }
     /** The cache array serving @p pr through middle pipe @p pipe. */
     PropertyCache &cacheFor(const PropertyRequest &pr,

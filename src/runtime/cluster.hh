@@ -65,7 +65,6 @@ struct ClusterConfig
     Tick switchPipelineLatency = 300 * ticks::ns;
     std::uint32_t switchConcatDelayCycles = 125; // at 2 GHz
     std::uint32_t nicConcatDelayCycles = 500;    // at 2.2 GHz
-    double switchClockHz = 2e9;
     std::uint64_t propertyCacheBytes = 32ull << 20; // per ToR switch
     PropertyCacheConfig cacheGeometry;              // sizes filled below
     /** Strictly per-pipe caches (Figure 8) vs one shared array. */

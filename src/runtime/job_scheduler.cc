@@ -290,13 +290,12 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
     }
 
     // --- Switches ---
-    Clock switch_clock(cfg.switchClockHz);
+    Clock switch_clock(Switch::kPipeClockHz);
     std::uint32_t tors = 0, spines = 0;
     for (SwitchId sid = 0; sid < f.topo.numSwitches(); ++sid) {
         SwitchConfig sw_cfg;
         sw_cfg.proto = cfg.proto;
         sw_cfg.pipelineLatency = cfg.switchPipelineLatency;
-        sw_cfg.pipeClockHz = cfg.switchClockHz;
         sw_cfg.netsparseEnabled =
             f.topo.isTor(sid) &&
             (cfg.features.concatSwitch || cfg.features.switchCache);

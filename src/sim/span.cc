@@ -252,7 +252,7 @@ RunFormat<SpanRun>::write(std::ostream &os, const SpanRun &run)
     os << ",\"sampleEvery\":" << run.params.sampleEvery
        << ",\"tailKeep\":" << run.params.tailKeep
        << ",\"tailThresholdTicks\":" << run.params.tailThreshold
-       << ",\"seed\":\"" << hexId(run.params.seed)
+       << ",\"seed\":\"" << hexId(kSpanSeed)
        // Always "exact" (the only network model), kept so the
        // netsparse-spans-v1 schema does not change.
        << "\",\"fidelity\":\"exact\",\"finalTick\":" << run.finalTick

@@ -7,8 +7,9 @@
  * uses - so whether a PR is traced is a pure function of the request's
  * identity, independent of shard count and execution order. The PR
  * carries only a `traced` bit (net/protocol.hh), set at issue; every
- * shard's buffer holds the same seed and recomputes the id from the
- * PR's identity wherever it records an event (SpanBuffer::idOf).
+ * shard's buffer uses the one fixed seed (kSpanSeed) and recomputes
+ * the id from the PR's identity wherever it records an event
+ * (SpanBuffer::idOf).
  * Every component a traced PR passes through appends one SpanEvent
  * (issue, NIC egress, per-hop wire occupancy, switch pipe,
  * Property-Cache outcome, remote fetch, retransmit, retire) to its
@@ -97,8 +98,6 @@ struct SpanParams
     std::uint32_t tailKeep = 0;
     /** Also keep every span with total latency >= this (0 = off). */
     Tick tailThreshold = 0;
-    /** Sampling-hash seed; fixed default keeps documents reproducible. */
-    std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 
     bool
     enabled() const
@@ -126,6 +125,9 @@ struct SpanParams
         return sampleEvery != 0 && spanId <= sampleThreshold();
     }
 };
+
+/** Sampling-hash seed of every run; fixed, so documents reproduce. */
+constexpr std::uint64_t kSpanSeed = 0x9e3779b97f4a7c15ull;
 
 /**
  * The deterministic span id of one issued PR. A pure function of the
@@ -182,7 +184,7 @@ class SpanBuffer
     std::uint64_t
     idOf(const Pr &pr) const
     {
-        return spanIdFor(params_.seed, pr.tenant, pr.src, pr.srcTid,
+        return spanIdFor(kSpanSeed, pr.tenant, pr.src, pr.srcTid,
                          pr.reqId);
     }
 

@@ -1,7 +1,5 @@
 #include "sim/stats.hh"
 
-#include <iomanip>
-
 namespace netsparse {
 
 void
@@ -106,13 +104,6 @@ void
 StatRegistry::setHistogram(const std::string &name, const Histogram &hist)
 {
     histograms_.insert_or_assign(name, hist);
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, value] : values_)
-        os << std::left << std::setw(48) << name << " " << value << "\n";
 }
 
 } // namespace netsparse

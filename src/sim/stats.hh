@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics package (scalar counters, averages, histograms)
- * with a named registry, in the spirit of the gem5/SST stats packages.
+ * Lightweight statistics package (averages, histograms) with a named
+ * registry of scalars, in the spirit of the gem5/SST stats packages.
  */
 
 #ifndef NETSPARSE_SIM_STATS_HH
@@ -9,25 +9,10 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
 namespace netsparse {
-
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    void operator++() { ++value_; }
-    void operator++(int) { ++value_; }
-    void operator+=(std::uint64_t v) { value_ += v; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** Accumulates samples; reports count / sum / mean / min / max. */
 class Average
@@ -141,10 +126,10 @@ class Histogram
  * A registry of named statistics.
  *
  * Components register values under hierarchical dotted names
- * (e.g. "node3.snic.rig0.prsIssued"); dump() prints the scalars
- * sorted. Besides scalars the registry holds snapshots of Average and
- * Histogram statistics, which keep their structure (count/sum/min/max,
- * bucket counts) through the JSON export (see sim/stats_export.hh).
+ * (e.g. "node3.snic.rig0.prsIssued"), kept sorted by name. Besides
+ * scalars the registry holds snapshots of Average and Histogram
+ * statistics, which keep their structure (count/sum/min/max, bucket
+ * counts) through the JSON export (see sim/stats_export.hh).
  * The naming contract for everything the simulator exports lives in
  * docs/observability.md.
  */
@@ -168,9 +153,6 @@ class StatRegistry
 
     /** Store a snapshot of a Histogram under @p name. */
     void setHistogram(const std::string &name, const Histogram &hist);
-
-    /** Print "name value" lines sorted by name (scalars only). */
-    void dump(std::ostream &os) const;
 
     const std::map<std::string, double> &all() const { return values_; }
     const std::map<std::string, Average> &averages() const

@@ -57,7 +57,7 @@ RigClientUnit::start(RigCommand cmd)
     // PCIe serialization per 4 KB vs ~465 ns to process 1024 idxs), so
     // only the initial fill delays the pipeline.
     std::uint64_t first_fill =
-        std::min<std::uint64_t>(cmd_.count * 4, cfg_.idxBufferBytes);
+        std::min<std::uint64_t>(cmd_.count * 4, kIdxBufferBytes);
     Tick ready = cmd_.count ? ctx_.pcie().transfer(first_fill) : eq_.now();
     scheduleChunk(ready);
 
@@ -115,7 +115,7 @@ RigClientUnit::processChunk()
     const NodeId self = ctx_.selfNode();
     const Partition1D *part = ctx_.ownerPartition();
     IdxFilter &filter = ctx_.idxFilter();
-    while (consumed < cfg_.chunkPerEvent && nextIdx_ < cmd_.count) {
+    while (consumed < kChunkPerEvent && nextIdx_ < cmd_.count) {
         PropIdx idx = cmd_.idxs[nextIdx_];
         ++consumed; // one pipeline slot per examined idx
 

@@ -15,8 +15,9 @@
  * one PR per cycle.
  *
  * Simulation note: idx processing is batched into chunk events
- * (chunkPerEvent idxs per event) with exact cycle accounting, which
- * preserves throughput and stall behaviour at a tiny event cost.
+ * (RigClientUnit::kChunkPerEvent idxs per event) with exact cycle
+ * accounting, which preserves throughput and stall behaviour at a tiny
+ * event cost.
  */
 
 #ifndef NETSPARSE_SNIC_RIG_UNIT_HH
@@ -72,12 +73,6 @@ struct RigUnitConfig
     double clockHz = 2.2e9;
     /** Pending PR Table entries. */
     std::uint32_t pendingCapacity = 256;
-    /** Idx Buffer SRAM (DMA staging for idx batches). */
-    std::uint32_t idxBufferBytes = 4096;
-    /** Rx Property Buffer SRAM. */
-    std::uint32_t propBufferBytes = 4096;
-    /** Idxs processed per simulation event. */
-    std::uint32_t chunkPerEvent = 32;
     /** Drop PRs whose Idx Filter bit is set. */
     bool filterEnabled = true;
     /** Drop PRs matching an outstanding entry of this unit. */
@@ -197,6 +192,11 @@ class RigClientUnit
     std::uint64_t outstandingPrs() const { return outstanding_; }
 
   private:
+    /** Idx Buffer SRAM (DMA staging for idx batches). */
+    static constexpr std::uint32_t kIdxBufferBytes = 4096;
+    /** Idxs processed per simulation event. */
+    static constexpr std::uint32_t kChunkPerEvent = 32;
+
     /** One issued read PR awaiting its response (retry enabled). */
     struct InflightPr
     {

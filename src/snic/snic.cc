@@ -94,7 +94,7 @@ Snic::txBackpressured() const
     if (!egress_)
         return false;
     return egress_->queuedBytes() + concat_->occupiedBytes() >
-           cfg_.txBufferBytes;
+           kTxBufferBytes;
 }
 
 void
@@ -112,51 +112,15 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
                    {"prs", static_cast<double>(pkt.prs.size())}})));
 
     std::vector<PropertyRequest> prs = deconcatenate(std::move(pkt));
-    if (cfg_.batchedServerReads) {
-        // Prepare every read of the packet now (same per-PR pipeline
-        // and round-robin dispatch as the per-event path), then send
-        // all responses with one event at the last fetch completion.
-        // Fetch ticks are nondecreasing across the packet (the shared
-        // PCIe busy-until chain), so no response leaves early.
-        std::vector<PropertyRequest> responses = acquirePrBuffer(prs.size());
-        Tick last_fetch = 0;
-        for (auto &pr : prs) {
-            if (pr.type == PrType::Response) {
-                ++rxResponses_;
-                ns_assert(pr.src == self_,
-                          "response delivered to the wrong node");
-                ns_assert(pr.srcTid < clients_.size(),
-                          "response for unknown client tid ", pr.srcTid);
-                clients_[pr.srcTid]->onResponse(pr);
-            } else {
-                ++rxReads_;
-                Tick fetched = servers_[nextServer_]->prepareRead(pr);
-                nextServer_ = (nextServer_ + 1) %
-                              static_cast<std::uint32_t>(servers_.size());
-                last_fetch = std::max(last_fetch, fetched);
-                responses.push_back(std::move(pr));
-            }
-        }
-        recyclePrBuffer(std::move(prs));
-        if (responses.empty()) {
-            recyclePrBuffer(std::move(responses));
-            return;
-        }
-        // This one event stands for one response send per read;
-        // account the rest so executedEvents() stays comparable to
-        // the per-event path (and shard-invariant: the whole burst is
-        // node-local).
-        eq_.addExecutedEvents(responses.size() - 1);
-        eq_.schedule(last_fetch,
-                     [this, rs = std::move(responses)]() mutable {
-                         for (auto &resp : rs) {
-                             NodeId back = resp.src;
-                             sendPr(std::move(resp), back);
-                         }
-                         recyclePrBuffer(std::move(rs));
-                     });
-        return;
-    }
+    // Under batchedServerReads every read of the packet is prepared
+    // here, and all its responses leave with one event at the last
+    // fetch completion. Fetch ticks are nondecreasing across the packet
+    // (the shared PCIe busy-until chain), so no response leaves early.
+    const bool batched = cfg_.batchedServerReads;
+    std::vector<PropertyRequest> responses;
+    if (batched)
+        responses = acquirePrBuffer(prs.size());
+    Tick last_fetch = 0;
     for (auto &pr : prs) {
         if (pr.type == PrType::Response) {
             ++rxResponses_;
@@ -165,15 +129,38 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
             ns_assert(pr.srcTid < clients_.size(),
                       "response for unknown client tid ", pr.srcTid);
             clients_[pr.srcTid]->onResponse(pr);
+            continue;
+        }
+        ++rxReads_;
+        // Q Control: dispatch reads to server units round-robin.
+        RigServerUnit &server = *servers_[nextServer_];
+        nextServer_ = (nextServer_ + 1) %
+                      static_cast<std::uint32_t>(servers_.size());
+        if (batched) {
+            last_fetch = std::max(last_fetch, server.prepareRead(pr));
+            responses.push_back(std::move(pr));
         } else {
-            ++rxReads_;
-            // Q Control: dispatch reads to server units round-robin.
-            servers_[nextServer_]->handleRead(std::move(pr));
-            nextServer_ = (nextServer_ + 1) %
-                          static_cast<std::uint32_t>(servers_.size());
+            server.handleRead(std::move(pr));
         }
     }
     recyclePrBuffer(std::move(prs));
+    if (!batched)
+        return;
+    if (responses.empty()) {
+        recyclePrBuffer(std::move(responses));
+        return;
+    }
+    // This one event stands for one response send per read; account
+    // the rest so executedEvents() stays comparable to the per-event
+    // path (and shard-invariant: the whole burst is node-local).
+    eq_.addExecutedEvents(responses.size() - 1);
+    eq_.schedule(last_fetch, [this, rs = std::move(responses)]() mutable {
+        for (auto &resp : rs) {
+            NodeId back = resp.src;
+            sendPr(std::move(resp), back);
+        }
+        recyclePrBuffer(std::move(rs));
+    });
 }
 
 RigClientStats

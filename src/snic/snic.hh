@@ -42,8 +42,6 @@ struct SnicConfig
     ConcatConfig concat;
     ProtocolParams proto;
     PcieConfig pcie;
-    /** Tx buffer; the RIG clients stall when it fills (backpressure). */
-    std::uint64_t txBufferBytes = 2ull << 20;
     /**
      * Send all response PRs of one received packet's reads with a
      * single event at the last fetch completion (docs/scaling.md),
@@ -170,6 +168,9 @@ class Snic : public PacketSink, public SnicContext
     EventQueue &eventQueue() const { return eq_; }
 
   private:
+    /** Tx buffer; the RIG clients stall when it fills (backpressure). */
+    static constexpr std::uint64_t kTxBufferBytes = 2ull << 20;
+
     EventQueue &eq_;
     SnicConfig cfg_;
     NodeId self_;

@@ -80,7 +80,6 @@ struct MultiPipeHarness
         cfg.verifyResponses = verify;
         cfg.concat.delay = 100;
         cfg.cache.totalBytes = 1 << 20;
-        cfg.portsPerPipe = 4;
         sw = std::make_unique<Switch>(eq, cfg, 0, "tor");
         for (std::uint32_t p = 0; p < 8; ++p) {
             sinks.push_back(std::make_unique<RecordingSink>());

@@ -65,18 +65,15 @@ TEST(StatsExport, DumpIsParseable)
     StatRegistry reg;
     r.exportStats(reg);
     std::ostringstream os;
-    reg.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("cluster.commTicks"), std::string::npos);
-    EXPECT_NE(out.find("node0.rxBytes"), std::string::npos);
-    // One "name value" pair per line.
-    std::istringstream in(out);
-    std::string name;
-    double value;
-    int lines = 0;
-    while (in >> name >> value)
-        ++lines;
-    EXPECT_EQ(static_cast<std::size_t>(lines), reg.all().size());
+    writeStatsJson(reg, os);
+    jsonlite::Value doc = jsonlite::parse(os.str());
+    ASSERT_TRUE(doc.isObject());
+    EXPECT_TRUE(doc.has("cluster.commTicks"));
+    EXPECT_TRUE(doc.has("node0.rxBytes"));
+    // One record per registered stat, and no other.
+    EXPECT_EQ(doc.object.size(), reg.all().size() +
+                                     reg.averages().size() +
+                                     reg.histograms().size());
 }
 
 TEST(StatsExport, JsonRoundTripsEveryRegisteredStat)

@@ -40,7 +40,7 @@ TEST(SpanId, SamplingRateIsApproximatelyOneInN)
     int sampled = 0;
     const int total = 20000;
     for (int req = 0; req < total; ++req)
-        if (p.sampled(spanIdFor(p.seed, 0, req % 32, 0,
+        if (p.sampled(spanIdFor(kSpanSeed, 0, req % 32, 0,
                                 static_cast<std::uint32_t>(req))))
             ++sampled;
     // 1/16 of 20000 = 1250; allow a generous band for hash variance.
