@@ -12,6 +12,7 @@
 
 #include "baseline/baselines.hh"
 #include "runtime/cluster.hh"
+#include "runtime/distributed_kernels.hh"
 #include "runtime/end_to_end.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -48,24 +49,14 @@ try {
                 a.nnz(), k, nodes);
 
     // --- Functional distributed execution ---
-    // Each node gathers the X rows its nonzeros reference (locally here;
-    // the transport itself is validated by the simulator's end-to-end
-    // checksums) and computes its own Y rows.
-    std::vector<float> y_dist(static_cast<std::size_t>(a.rows) * k, 0.0f);
-    for (NodeId node = 0; node < nodes; ++node) {
-        for (std::uint32_t r = part.begin(node); r < part.end(node); ++r) {
-            float *yr = y_dist.data() + static_cast<std::size_t>(r) * k;
-            for (std::uint64_t i = a.rowPtr[r]; i < a.rowPtr[r + 1]; ++i) {
-                const float *xc =
-                    x.data() + static_cast<std::size_t>(a.colIdx[i]) * k;
-                for (std::uint32_t j = 0; j < k; ++j)
-                    yr[j] += xc[j];
-            }
-        }
-    }
+    // Each node computes its own Y rows from the X rows its nonzeros
+    // reference, and the gather that fetches those rows runs through
+    // the simulated cluster (iterations[0]).
+    DistributedKernelResult dist =
+        DistributedSpmm(defaultClusterConfig(nodes), a, part, k).run(x);
     std::vector<float> y_ref = spmm(a, x, k);
     for (std::size_t i = 0; i < y_ref.size(); ++i) {
-        if (y_ref[i] != y_dist[i]) {
+        if (y_ref[i] != dist.output[i]) {
             std::fprintf(stderr, "MISMATCH at %zu\n", i);
             return 1;
         }
@@ -74,10 +65,7 @@ try {
                 "single-node SpMM\n\n");
 
     // --- Simulated end-to-end timing ---
-    ClusterConfig cfg = defaultClusterConfig(nodes);
-    ClusterSim sim(cfg);
-    GatherRunResult comm = sim.runGather(a, part, k);
-
+    const GatherRunResult &comm = dist.iterations[0];
     std::vector<Tick> per_node_comm(nodes);
     for (NodeId i = 0; i < nodes; ++i)
         per_node_comm[i] = comm.nodes[i].finishTick;

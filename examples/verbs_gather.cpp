@@ -14,6 +14,7 @@
 #include "net/topology.hh"
 #include "sim/event_queue.hh"
 #include "snic/snic.hh"
+#include "sparse/partition.hh"
 
 using namespace netsparse;
 
@@ -23,23 +24,20 @@ main()
     EventQueue eq;
     ProtocolParams proto;
 
-    // Two nodes: node 0 gathers, node 1 serves. Properties with an even
-    // idx live on node 0, odd on node 1.
-    auto owner_of = [](PropIdx idx) {
-        return static_cast<NodeId>(idx % 2);
-    };
-    const std::uint64_t num_props = 4096;
+    // Two nodes: node 0 gathers, node 1 serves. The properties are
+    // split in two equal row ranges: idxs below 2048 live on node 0,
+    // the rest on node 1.
+    const std::uint32_t num_props = 4096;
+    const Partition1D owners = Partition1D::equalRows(num_props, 2);
 
     SnicConfig scfg;
-    scfg.proto = proto;
-    scfg.concat.proto = proto;
-    scfg.concat.delay = 200 * ticks::ns;
-    Snic snic0(eq, scfg, 0, owner_of, num_props, "snic0");
-    Snic snic1(eq, scfg, 1, owner_of, num_props, "snic1");
+    ConcatConfig concat;
+    concat.proto = proto;
+    concat.delay = 200 * ticks::ns;
+    Snic snic0(eq, scfg, concat, 0, 0, owners, num_props, "snic0");
+    Snic snic1(eq, scfg, concat, 1, 0, owners, num_props, "snic1");
 
-    SwitchConfig swcfg;
-    swcfg.proto = proto;
-    Switch sw(eq, swcfg, 0, "tor");
+    Switch sw(eq, SwitchConfig{}, 0, "tor");
 
     LinkConfig lc; // 400 Gbps, 450 ns
     Link down0(eq, lc, proto, &snic0, 0, "tor->n0");
@@ -52,10 +50,11 @@ main()
     snic0.attachEgress(&up0);
     snic1.attachEgress(&up1);
 
-    // The application's idx list: every odd property, some repeatedly.
+    // The application's idx list: 700 of node 1's properties, some
+    // repeatedly.
     std::vector<std::uint32_t> idxs;
     for (std::uint32_t i = 0; i < 2000; ++i)
-        idxs.push_back(1 + 2 * (i % 700));
+        idxs.push_back(owners.begin(1) + i % 700);
 
     RigQueuePair qp(eq, snic0);
     IbvSendWr wr;

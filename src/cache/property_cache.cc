@@ -6,24 +6,6 @@
 
 namespace netsparse {
 
-std::uint32_t
-segmentEnableMask(std::uint32_t numSegments,
-                  std::uint32_t segmentsPerEntry,
-                  std::uint32_t segmentBits)
-{
-    ns_assert(segmentsPerEntry > 0 && segmentsPerEntry <= numSegments,
-              "bad segments per entry");
-    ns_assert(numSegments % segmentsPerEntry == 0,
-              "segments per entry must divide the segment count");
-    // In Mode S, the selector ignores the low log2(segmentsPerEntry)
-    // segment bits and enables the whole aligned group.
-    std::uint32_t group = (segmentBits % numSegments) / segmentsPerEntry;
-    std::uint32_t mask =
-        segmentsPerEntry == 32 ? 0xffffffffu
-                               : ((1u << segmentsPerEntry) - 1u);
-    return mask << (group * segmentsPerEntry);
-}
-
 PropertyCache::PropertyCache(const PropertyCacheConfig &cfg) : cfg_(cfg)
 {
     ns_assert(cfg_.ways > 0, "cache needs at least one way");

@@ -37,15 +37,6 @@ struct PropertyCacheConfig
     std::uint32_t ways = 16;
 };
 
-/**
- * Pure model of the Segment Selector of Figure 9: given the configured
- * mode (property size) and the segment bits of an idx, produce the
- * 32-bit enable bitmask that activates the segment(s) holding the value.
- */
-std::uint32_t segmentEnableMask(std::uint32_t numSegments,
-                                std::uint32_t segmentsPerEntry,
-                                std::uint32_t segmentBits);
-
 /** One Property Cache (one per switch middle pipe). */
 class PropertyCache
 {
@@ -54,10 +45,6 @@ class PropertyCache
     static constexpr std::uint32_t kMinLineBytes = 16;
     /** Largest supported property ("max cache line"). */
     static constexpr std::uint32_t kMaxLineBytes = 512;
-    /** Number of 16 B data segments, one enable bit each (Figure 9). */
-    static constexpr std::uint32_t kNumSegments =
-        kMaxLineBytes / kMinLineBytes;
-    static_assert(kNumSegments == 32, "segmentEnableMask is 32 bits");
 
     explicit PropertyCache(const PropertyCacheConfig &cfg);
 

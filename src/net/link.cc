@@ -141,6 +141,9 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
         if (outbox_) {
             outbox_->push(PendingDelivery{t.deadline, key, sink_,
                                           sinkPort_, std::move(pkt)});
+            // No flush ever pops a cross-shard train; only the newest
+            // is read, so it is the only one kept.
+            trains_.clear();
         } else {
             t.pkts = BufferArena<Packet>::local().acquire(kTrainMaxPackets);
             t.pkts.push_back(std::move(pkt));

@@ -208,7 +208,8 @@ class Link
     /** Delivered-packet count; the low half of the delivery key. */
     std::uint64_t deliverySeq_ = 0;
     DeliveryMailbox *outbox_ = nullptr;
-    /** Open and not-yet-flushed trains, oldest first (see Train). */
+    /** Open and not-yet-flushed trains, oldest first (see Train); on
+     *  a cross-shard link only the newest. */
     std::deque<Train> trains_;
 
     std::uint64_t packets_ = 0;

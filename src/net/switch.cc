@@ -290,10 +290,10 @@ Switch::drainPort(std::uint32_t p)
             continue;
         }
         auto wire = static_cast<std::int64_t>(
-            lane.front().wireBytes(cfg_.proto));
+            lane.front().wireBytes(cfg_.concat.proto));
         if (fq.deficit[fq.rr] < wire) {
             fq.deficit[fq.rr] +=
-                static_cast<std::int64_t>(cfg_.proto.mtuBytes);
+                static_cast<std::int64_t>(cfg_.concat.proto.mtuBytes);
             fq.rr = (fq.rr + 1) % lanes;
             continue;
         }

@@ -52,12 +52,14 @@ namespace netsparse {
 /** Static switch parameters. */
 struct SwitchConfig
 {
-    ProtocolParams proto;
     /** Ingress-to-egress pipeline latency (Table 5: 300 ns). */
     Tick pipelineLatency = 300 * ticks::ns;
     /** True for ToR switches carrying the NetSparse extensions. */
     bool netsparseEnabled = false;
-    /** Per-middle-pipe concatenator settings (delay in ticks). */
+    /**
+     * Per-middle-pipe concatenator settings (delay in ticks); its proto
+     * is also the wire protocol of the fair-queueing lanes.
+     */
     ConcatConfig concat;
     /** Whole-switch Property Cache budget. */
     PropertyCacheConfig cache;

@@ -262,29 +262,22 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
     // --- SNICs: one virtual slice per (node, tenant) ---
     // Each tenant keeps its own RIG units, Idx Filter and retry state;
     // the node's physical NIC egress link is shared below.
-    SnicConfig base = cfg.snic;
-    base.proto = cfg.proto;
-    base.rigUnit.filterEnabled = cfg.features.filter;
-    base.rigUnit.coalesceEnabled = cfg.features.coalesce;
-    Clock snic_clock(base.rigUnit.clockHz);
-    base.concat.proto = cfg.proto;
-    base.concat.enabled = cfg.features.concatNic;
-    base.concat.delay = snic_clock.cycles(cfg.nicConcatDelayCycles);
-    base.concat.virtualized = cfg.virtualizedCqs;
+    SnicConfig snic_cfg = cfg.snic;
+    snic_cfg.rigUnit.filterEnabled = cfg.features.filter;
+    snic_cfg.rigUnit.coalesceEnabled = cfg.features.coalesce;
+    ConcatConfig nic_concat;
+    nic_concat.proto = cfg.proto;
+    nic_concat.enabled = cfg.features.concatNic;
+    nic_concat.delay =
+        Clock(snic_cfg.rigUnit.clockHz).cycles(cfg.nicConcatDelayCycles);
+    nic_concat.virtualized = cfg.virtualizedCqs;
     for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
         f.demuxes.push_back(std::make_unique<TenantDemux>());
         for (std::uint32_t t = 0; t < f.T; ++t) {
-            SnicConfig sc = base;
-            sc.tenant = static_cast<std::uint16_t>(t);
-            const Partition1D *jpart = &jobs[t].work.part;
             f.snics.push_back(std::make_unique<Snic>(
-                f.nodeQueue(nid), sc, nid,
-                [jpart](PropIdx idx) {
-                    return jpart->ownerOf(
-                        static_cast<std::uint32_t>(idx));
-                },
+                f.nodeQueue(nid), snic_cfg, nic_concat, nid,
+                static_cast<std::uint16_t>(t), jobs[t].work.part,
                 jobs[t].work.numIdxs, f.sliceName(nid, t) + ".snic"));
-            f.snics.back()->setOwnerPartition(jobs[t].work.part);
             f.demuxes.back()->attach(f.snics.back().get());
         }
     }
@@ -294,7 +287,6 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
     std::uint32_t tors = 0, spines = 0;
     for (SwitchId sid = 0; sid < f.topo.numSwitches(); ++sid) {
         SwitchConfig sw_cfg;
-        sw_cfg.proto = cfg.proto;
         sw_cfg.pipelineLatency = cfg.switchPipelineLatency;
         sw_cfg.netsparseEnabled =
             f.topo.isTor(sid) &&

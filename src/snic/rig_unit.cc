@@ -113,14 +113,13 @@ RigClientUnit::processChunk()
     // Hoist the loop invariants: the context accessors are virtual and
     // this loop runs once per nonzero of the kernel.
     const NodeId self = ctx_.selfNode();
-    const Partition1D *part = ctx_.ownerPartition();
+    const Partition1D &owners = ctx_.owners();
     IdxFilter &filter = ctx_.idxFilter();
     while (consumed < kChunkPerEvent && nextIdx_ < cmd_.count) {
         PropIdx idx = cmd_.idxs[nextIdx_];
         ++consumed; // one pipeline slot per examined idx
 
-        NodeId dest = part ? part->ownerOf(static_cast<std::uint32_t>(idx))
-                           : ctx_.ownerOf(idx);
+        NodeId dest = owners.ownerOf(static_cast<std::uint32_t>(idx));
         if (dest == self) {
             ++stats_.localIdxs;
             ++stats_.idxsProcessed;

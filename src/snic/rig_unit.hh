@@ -112,15 +112,12 @@ class SnicContext
     /** Tenant (job) id this SNIC slice belongs to; 0 on single-job
      *  runs (see PropertyRequest::tenant). */
     virtual std::uint16_t tenant() const { return 0; }
-    /** The home node of a property (the Destination Solver's answer). */
-    virtual NodeId ownerOf(PropIdx idx) const = 0;
     /**
-     * The partition behind ownerOf, when there is one, or null. The
-     * per-idx client loop uses it to resolve owners inline (the
-     * equal-rows stride divide) instead of paying a virtual call plus
-     * a std::function dispatch per nonzero. Must agree with ownerOf.
+     * The Destination Solver: the job's 1-D row partition, whose
+     * ownerOf gives a property's home node. The client loop resolves
+     * every idx through it inline.
      */
-    virtual const Partition1D *ownerPartition() const { return nullptr; }
+    virtual const Partition1D &owners() const = 0;
     /** Hand a PR to the NIC transmit path. */
     virtual void sendPr(PropertyRequest &&pr, NodeId dest) = 0;
     /** True while the transmit buffer is too full to accept PRs. */

@@ -7,11 +7,12 @@
 
 namespace netsparse {
 
-Snic::Snic(EventQueue &eq, SnicConfig cfg, NodeId self,
-           std::function<NodeId(PropIdx)> owner_of, std::uint64_t num_idxs,
-           std::string name)
-    : eq_(eq), cfg_(cfg), self_(self), ownerOf_(std::move(owner_of)),
-      name_(std::move(name)), filter_(num_idxs), pcie_(eq, cfg.pcie)
+Snic::Snic(EventQueue &eq, SnicConfig cfg, ConcatConfig nic_concat,
+           NodeId self, std::uint16_t tenant, Partition1D owners,
+           std::uint64_t num_idxs, std::string name)
+    : eq_(eq), cfg_(cfg), proto_(nic_concat.proto), self_(self),
+      tenant_(tenant), owners_(std::move(owners)), name_(std::move(name)),
+      filter_(num_idxs), pcie_(eq, cfg.pcie)
 {
     ns_assert(cfg_.numRigUnits >= 2, "need at least 1 client + 1 server");
     std::uint32_t num_clients = cfg_.numRigUnits / 2;
@@ -24,7 +25,7 @@ Snic::Snic(EventQueue &eq, SnicConfig cfg, NodeId self,
             eq_, cfg_.rigUnit, *this, static_cast<std::uint16_t>(s)));
     }
     concat_ = std::make_unique<Concatenator>(
-        eq_, cfg_.concat,
+        eq_, nic_concat,
         [this](Packet &&pkt) {
             ns_assert(egress_, "SNIC ", name_, " has no egress link");
             StampBoard *board = eq_.stampBoard();
@@ -102,13 +103,13 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
 {
     (void)in_port;
     ++rxPackets_;
-    rxBytes_ += pkt.wireBytes(cfg_.proto);
+    rxBytes_ += pkt.wireBytes(proto_);
     rxPayloadBytes_ += pkt.payloadBytes();
 
     NS_TRACE(eq_, tw.instant(
         tw.track(name_), "rx", eq_.now(),
         traceArgs({{"bytes", static_cast<double>(
-                                 pkt.wireBytes(cfg_.proto))},
+                                 pkt.wireBytes(proto_))},
                    {"prs", static_cast<double>(pkt.prs.size())}})));
 
     std::vector<PropertyRequest> prs = deconcatenate(std::move(pkt));

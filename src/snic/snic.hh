@@ -8,9 +8,7 @@
 #ifndef NETSPARSE_SNIC_SNIC_HH
 #define NETSPARSE_SNIC_SNIC_HH
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,22 +23,16 @@
 
 namespace netsparse {
 
-/** Static SNIC parameters (Table 5 defaults). */
+/**
+ * Static SNIC parameters (Table 5 defaults), shared by every slice of a
+ * cluster. What differs per slice - its node, tenant, owner partition
+ * and NIC concatenation point - is a Snic constructor argument.
+ */
 struct SnicConfig
 {
     /** Total RIG units; half run as clients, half as servers. */
     std::uint32_t numRigUnits = 32;
-    /**
-     * Tenant (job) id of this SNIC slice. A multi-job run instantiates
-     * one virtual SNIC per (node, tenant) sharing the node's physical
-     * NIC egress; the id is stamped on every PR the slice issues. 0 on
-     * single-job runs (the default document is unchanged).
-     */
-    std::uint16_t tenant = 0;
     RigUnitConfig rigUnit;
-    /** NIC-level concatenation point. */
-    ConcatConfig concat;
-    ProtocolParams proto;
     PcieConfig pcie;
     /**
      * Send all response PRs of one received packet's reads with a
@@ -64,12 +56,16 @@ class Snic : public PacketSink, public SnicContext
 {
   public:
     /**
-     * @param owner_of the Destination Solver: property idx -> home node.
+     * @param nic_concat the NIC-level concatenation point; its proto is
+     *        the wire protocol the SNIC accounts received bytes in.
+     * @param tenant the slice's tenant (job) id, stamped on every PR it
+     *        issues (0 on single-job runs).
+     * @param owners the Destination Solver: the job's row partition.
      * @param num_idxs Idx Filter width (columns of the sparse matrix).
      */
-    Snic(EventQueue &eq, SnicConfig cfg, NodeId self,
-         std::function<NodeId(PropIdx)> owner_of, std::uint64_t num_idxs,
-         std::string name);
+    Snic(EventQueue &eq, SnicConfig cfg, ConcatConfig nic_concat,
+         NodeId self, std::uint16_t tenant, Partition1D owners,
+         std::uint64_t num_idxs, std::string name);
 
     /** Attach the egress link toward this node's ToR switch. */
     void attachEgress(Link *egress) { egress_ = egress; }
@@ -100,23 +96,8 @@ class Snic : public PacketSink, public SnicContext
     // --- SnicContext (services for the RIG units) ---
 
     NodeId selfNode() const override { return self_; }
-    std::uint16_t tenant() const override { return cfg_.tenant; }
-    NodeId ownerOf(PropIdx idx) const override { return ownerOf_(idx); }
-    const Partition1D *
-    ownerPartition() const override
-    {
-        return ownerPart_ ? &*ownerPart_ : nullptr;
-    }
-
-    /**
-     * Declare that ownerOf is backed by @p part (stored by value), so
-     * the RIG clients can resolve owners inline. The caller guarantees
-     * the two agree; the cluster builder passes the matrix partition.
-     */
-    void setOwnerPartition(Partition1D part)
-    {
-        ownerPart_.emplace(std::move(part));
-    }
+    std::uint16_t tenant() const override { return tenant_; }
+    const Partition1D &owners() const override { return owners_; }
     void sendPr(PropertyRequest &&pr, NodeId dest) override;
     bool txBackpressured() const override;
     IdxFilter &idxFilter() override { return filter_; }
@@ -173,9 +154,10 @@ class Snic : public PacketSink, public SnicContext
 
     EventQueue &eq_;
     SnicConfig cfg_;
+    ProtocolParams proto_;
     NodeId self_;
-    std::function<NodeId(PropIdx)> ownerOf_;
-    std::optional<Partition1D> ownerPart_;
+    std::uint16_t tenant_;
+    Partition1D owners_;
     std::string name_;
 
     IdxFilter filter_;

@@ -143,38 +143,6 @@ TEST(PropertyCache, HitRateAndResetStats)
     EXPECT_DOUBLE_EQ(c.hitRate(), 0.0);
 }
 
-TEST(SegmentSelector, Figure9Example)
-{
-    // 32 segments, 32 B mode (2 segments per entry), segment bits
-    // 1110x: the pair one before last -> enables bits 28 and 29.
-    std::uint32_t mask = segmentEnableMask(32, 2, 0b11100);
-    EXPECT_EQ(mask, 0b11u << 28);
-    mask = segmentEnableMask(32, 2, 0b11101);
-    EXPECT_EQ(mask, 0b11u << 28); // the LSB is ignored in 32 B mode
-}
-
-TEST(SegmentSelector, ModesEnableTheRightWidth)
-{
-    // 16 B mode: one segment.
-    EXPECT_EQ(segmentEnableMask(32, 1, 5), 1u << 5);
-    // 64 B mode: four adjacent segments, aligned.
-    EXPECT_EQ(segmentEnableMask(32, 4, 9), 0xfu << 8);
-    // 512 B mode: all 32 segments.
-    EXPECT_EQ(segmentEnableMask(32, 32, 17), 0xffffffffu);
-}
-
-TEST(SegmentSelector, PopcountMatchesSegmentsPerEntry)
-{
-    for (std::uint32_t spe : {1u, 2u, 4u, 8u, 16u, 32u}) {
-        for (std::uint32_t bits = 0; bits < 32; ++bits) {
-            std::uint32_t mask = segmentEnableMask(32, spe, bits);
-            EXPECT_EQ(static_cast<std::uint32_t>(
-                          __builtin_popcount(mask)),
-                      spe);
-        }
-    }
-}
-
 TEST(PropertyCache, RandomizedChecksumIntegrity)
 {
     // Property test: the cache never returns a wrong value.

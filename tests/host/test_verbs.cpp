@@ -15,7 +15,10 @@ using namespace netsparse;
 
 namespace {
 
-/** Two SNICs joined by one plain switch; properties: odd idx -> node 1. */
+/** The first of node 1's idxs: the 2^16 idxs split in two equal rows. */
+constexpr std::uint32_t kRemote = 1u << 15;
+
+/** Two SNICs joined by one plain switch; idxs >= kRemote -> node 1. */
 struct TwoNodeWorld
 {
     EventQueue eq;
@@ -28,19 +31,15 @@ struct TwoNodeWorld
     explicit TwoNodeWorld(std::uint32_t num_units = 4)
     {
         scfg.numRigUnits = num_units;
-        scfg.proto = proto;
-        scfg.concat.proto = proto;
-        scfg.concat.delay = 100 * ticks::ns;
-        auto owner = [](PropIdx idx) {
-            return static_cast<NodeId>(idx % 2);
-        };
-        snic0 = std::make_unique<Snic>(eq, scfg, 0, owner, 1 << 16,
-                                       "snic0");
-        snic1 = std::make_unique<Snic>(eq, scfg, 1, owner, 1 << 16,
-                                       "snic1");
-        SwitchConfig swcfg;
-        swcfg.proto = proto;
-        sw = std::make_unique<Switch>(eq, swcfg, 0, "sw");
+        ConcatConfig concat;
+        concat.proto = proto;
+        concat.delay = 100 * ticks::ns;
+        Partition1D owners = Partition1D::equalRows(1 << 16, 2);
+        snic0 = std::make_unique<Snic>(eq, scfg, concat, 0, 0, owners,
+                                       1 << 16, "snic0");
+        snic1 = std::make_unique<Snic>(eq, scfg, concat, 1, 0, owners,
+                                       1 << 16, "snic1");
+        sw = std::make_unique<Switch>(eq, SwitchConfig{}, 0, "sw");
         down0 = std::make_unique<Link>(eq, LinkConfig{}, proto,
                                        snic0.get(), 0, "d0");
         down1 = std::make_unique<Link>(eq, LinkConfig{}, proto,
@@ -62,7 +61,8 @@ struct TwoNodeWorld
 TEST(Verbs, RigWorkRequestCompletesSuccessfully)
 {
     TwoNodeWorld w;
-    std::vector<std::uint32_t> idxs{1, 3, 5, 3, 7};
+    std::vector<std::uint32_t> idxs{kRemote, kRemote + 1, kRemote + 2,
+                                    kRemote + 1, kRemote + 3};
     RigQueuePair qp(w.eq, *w.snic0);
     IbvSendWr wr;
     wr.wrId = 77;
@@ -81,7 +81,7 @@ TEST(Verbs, RigWorkRequestCompletesSuccessfully)
     EXPECT_EQ(qp.outstanding(), 0u);
     EXPECT_FALSE(qp.pollCq(wc));
 
-    // 4 unique odd idxs issued; the repeated 3 coalesced.
+    // 4 unique remote idxs issued; the repeated kRemote + 1 coalesced.
     RigClientStats st = w.snic0->aggregateClientStats();
     EXPECT_EQ(st.prsIssued, 4u);
     EXPECT_EQ(st.coalesced, 1u);
@@ -91,7 +91,7 @@ TEST(Verbs, RigWorkRequestCompletesSuccessfully)
 TEST(Verbs, RdmaReadOpcodeIsAOneIdxRig)
 {
     TwoNodeWorld w;
-    std::vector<std::uint32_t> idx{9};
+    std::vector<std::uint32_t> idx{kRemote + 4};
     RigQueuePair qp(w.eq, *w.snic0);
     IbvSendWr wr;
     wr.wrId = 1;
@@ -109,7 +109,7 @@ TEST(Verbs, RdmaReadOpcodeIsAOneIdxRig)
 TEST(Verbs, PostSendFailsWhenAllUnitsBusy)
 {
     TwoNodeWorld w(4); // 2 client units
-    std::vector<std::uint32_t> idxs(100, 1);
+    std::vector<std::uint32_t> idxs(100, kRemote);
     RigQueuePair qp(w.eq, *w.snic0);
     IbvSendWr wr;
     wr.rig.idxList = idxs.data();
@@ -128,7 +128,7 @@ TEST(Verbs, PostSendFailsWhenAllUnitsBusy)
 TEST(Verbs, CompletionHandlerFires)
 {
     TwoNodeWorld w;
-    std::vector<std::uint32_t> idxs{1};
+    std::vector<std::uint32_t> idxs{kRemote};
     RigQueuePair qp(w.eq, *w.snic0);
     int notifications = 0;
     qp.setCompletionHandler([&] { ++notifications; });
@@ -148,7 +148,7 @@ TEST(HostNode, DrivesWholeStreamAcrossBatches)
     hcfg.batchSize = 16;
     std::vector<std::uint32_t> stream;
     for (int i = 0; i < 100; ++i)
-        stream.push_back(1 + 2 * (i % 13)); // odd -> remote
+        stream.push_back(kRemote + i % 13); // remote
     HostNode host(w.eq, hcfg, *w.snic0, std::move(stream), 64);
     host.start();
     w.eq.run();
@@ -176,7 +176,7 @@ TEST(HostNode, AutoBatchSizingKeepsUnitsBusy)
 {
     TwoNodeWorld w(8); // 4 client units
     HostConfig hcfg;   // batchSize = 0 -> auto
-    std::vector<std::uint32_t> stream(100000, 1);
+    std::vector<std::uint32_t> stream(100000, kRemote);
     HostNode host(w.eq, hcfg, *w.snic0, std::move(stream), 64);
     host.start();
     w.eq.run();

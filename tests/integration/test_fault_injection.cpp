@@ -20,6 +20,17 @@ using namespace netsparse;
 
 namespace {
 
+/** @p n distinct idxs homed on node 1: the 4096 idxs split in two
+ *  equal rows, so node 1 owns [2048, 4096). */
+std::vector<std::uint32_t>
+remoteIdxs(std::uint32_t n)
+{
+    std::vector<std::uint32_t> idxs(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        idxs[i] = 2048 + i;
+    return idxs;
+}
+
 struct FaultWorld
 {
     EventQueue eq;
@@ -32,19 +43,17 @@ struct FaultWorld
     {
         SnicConfig scfg;
         scfg.numRigUnits = 2;
-        scfg.proto = proto;
-        scfg.concat.proto = proto;
-        scfg.concat.delay = 100 * ticks::ns;
         scfg.rigUnit.watchdogTimeout = watchdog;
         scfg.rigUnit.retry = retry;
-        auto owner = [](PropIdx idx) {
-            return static_cast<NodeId>(idx % 2);
-        };
-        snic0 = std::make_unique<Snic>(eq, scfg, 0, owner, 4096, "s0");
-        snic1 = std::make_unique<Snic>(eq, scfg, 1, owner, 4096, "s1");
-        SwitchConfig swcfg;
-        swcfg.proto = proto;
-        sw = std::make_unique<Switch>(eq, swcfg, 0, "sw");
+        ConcatConfig concat;
+        concat.proto = proto;
+        concat.delay = 100 * ticks::ns;
+        Partition1D owners = Partition1D::equalRows(4096, 2);
+        snic0 = std::make_unique<Snic>(eq, scfg, concat, 0, 0, owners,
+                                       4096, "s0");
+        snic1 = std::make_unique<Snic>(eq, scfg, concat, 1, 0, owners,
+                                       4096, "s1");
+        sw = std::make_unique<Switch>(eq, SwitchConfig{}, 0, "sw");
         down0 = std::make_unique<Link>(eq, LinkConfig{}, proto,
                                        snic0.get(), 0, "d0");
         down1 = std::make_unique<Link>(eq, LinkConfig{}, proto,
@@ -100,7 +109,7 @@ TEST(FaultInjection, LostReadPacketTripsTheWatchdog)
     // Lose every read packet leaving node 0.
     w.up0->faults()->scriptDrop(
         [](const Packet &p) { return p.type == PrType::Read; });
-    IbvWc wc = w.runGather({1, 3, 5});
+    IbvWc wc = w.runGather(remoteIdxs(3));
     EXPECT_EQ(wc.status, IbvWc::Status::WatchdogTimeout);
     EXPECT_EQ(w.snic0->aggregateClientStats().watchdogFailures, 1u);
     EXPECT_GT(w.up0->packetsDropped(), 0u);
@@ -111,7 +120,7 @@ TEST(FaultInjection, LostResponsePacketTripsTheWatchdog)
     FaultWorld w(50 * ticks::us);
     w.down0->faults()->scriptDrop(
         [](const Packet &p) { return p.type == PrType::Response; });
-    IbvWc wc = w.runGather({1, 3, 5});
+    IbvWc wc = w.runGather(remoteIdxs(3));
     EXPECT_EQ(wc.status, IbvWc::Status::WatchdogTimeout);
 }
 
@@ -123,7 +132,7 @@ TEST(FaultInjection, PartialLossStillFailsTheWholeOperation)
     w.up0->faults()->scriptDrop([&](const Packet &p) {
         return p.type == PrType::Read && count++ == 0;
     });
-    IbvWc wc = w.runGather({1, 3, 5, 7, 9});
+    IbvWc wc = w.runGather(remoteIdxs(5));
     EXPECT_EQ(wc.status, IbvWc::Status::WatchdogTimeout);
     // Some responses may have arrived before the failure; they are
     // either applied or discarded, but the op still reports failure.
@@ -132,7 +141,7 @@ TEST(FaultInjection, PartialLossStillFailsTheWholeOperation)
 TEST(FaultInjection, CleanNetworkNeverTimesOut)
 {
     FaultWorld w(50 * ticks::us);
-    IbvWc wc = w.runGather({1, 3, 5, 7, 9});
+    IbvWc wc = w.runGather(remoteIdxs(5));
     EXPECT_EQ(wc.status, IbvWc::Status::Success);
     EXPECT_EQ(w.snic0->aggregateClientStats().watchdogFailures, 0u);
 }
@@ -144,12 +153,12 @@ TEST(FaultInjection, UnitIsReusableAfterAFailure)
     w.up0->faults()->scriptDrop([&](const Packet &p) {
         return lossy && p.type == PrType::Read;
     });
-    IbvWc wc = w.runGather({1, 3});
+    IbvWc wc = w.runGather(remoteIdxs(2));
     EXPECT_EQ(wc.status, IbvWc::Status::WatchdogTimeout);
 
     // Heal the network; the same unit executes the retry successfully.
     lossy = false;
-    IbvWc wc2 = w.runGather({1, 3});
+    IbvWc wc2 = w.runGather(remoteIdxs(2));
     EXPECT_EQ(wc2.status, IbvWc::Status::Success);
 }
 
@@ -163,7 +172,7 @@ TEST(FaultInjection, RetransmissionRecoversLostReads)
     w.up0->faults()->scriptDrop([&](const Packet &p) {
         return p.type == PrType::Read && count++ == 0;
     });
-    IbvWc wc = w.runGather({1, 3, 5, 7, 9});
+    IbvWc wc = w.runGather(remoteIdxs(5));
     EXPECT_EQ(wc.status, IbvWc::Status::Success);
     RigClientStats cs = w.snic0->aggregateClientStats();
     EXPECT_GT(cs.retransmits, 0u);
@@ -178,7 +187,7 @@ TEST(FaultInjection, RetransmissionRecoversLostResponses)
     w.down0->faults()->scriptDrop([&](const Packet &p) {
         return p.type == PrType::Response && count++ == 0;
     });
-    IbvWc wc = w.runGather({1, 3, 5});
+    IbvWc wc = w.runGather(remoteIdxs(3));
     EXPECT_EQ(wc.status, IbvWc::Status::Success);
     EXPECT_GT(w.snic0->aggregateClientStats().retransmits, 0u);
 }
@@ -189,7 +198,7 @@ TEST(FaultInjection, CorruptResponseIsNackedAndRefetched)
     int count = 0;
     w.down0->faults()->scriptCorrupt(
         [&](const Packet &) { return count++ == 0; });
-    IbvWc wc = w.runGather({1, 3, 5});
+    IbvWc wc = w.runGather(remoteIdxs(3));
     EXPECT_EQ(wc.status, IbvWc::Status::Success);
     RigClientStats cs = w.snic0->aggregateClientStats();
     EXPECT_EQ(cs.corruptDropped, 1u);
@@ -205,7 +214,7 @@ TEST(FaultInjection, RetryBudgetExhaustionFailsTheCommand)
     // A black-hole network: every read is lost, forever.
     w.up0->faults()->scriptDrop(
         [](const Packet &p) { return p.type == PrType::Read; });
-    IbvWc wc = w.runGather({1, 3, 5});
+    IbvWc wc = w.runGather(remoteIdxs(3));
     EXPECT_EQ(wc.status, IbvWc::Status::WatchdogTimeout);
     RigClientStats cs = w.snic0->aggregateClientStats();
     EXPECT_GT(cs.retriesExhausted, 0u);
@@ -220,10 +229,7 @@ TEST(FaultInjection, DuplicateResponsesAreSuppressed)
     // command is still live when the twins land makes the suppression
     // observable (after completion they would count as stale instead).
     FaultWorld w(0, fastRetry(500 * ticks::ns, 20));
-    std::vector<std::uint32_t> idxs;
-    for (std::uint32_t i = 1; i < 4096; i += 2)
-        idxs.push_back(i); // 2048 distinct remote idxs
-    IbvWc wc = w.runGather(idxs);
+    IbvWc wc = w.runGather(remoteIdxs(2048));
     EXPECT_EQ(wc.status, IbvWc::Status::Success);
     RigClientStats cs = w.snic0->aggregateClientStats();
     EXPECT_GT(cs.retransmits, 0u);
@@ -239,7 +245,7 @@ TEST(FaultInjection, RandomDropsRecoverUnderRetry)
     fc.seed = 7;
     w.up0->configureFaults(fc);
     w.down0->configureFaults(fc);
-    IbvWc wc = w.runGather({1, 3, 5, 7, 9, 11, 13, 15});
+    IbvWc wc = w.runGather(remoteIdxs(8));
     EXPECT_EQ(wc.status, IbvWc::Status::Success);
     EXPECT_EQ(w.snic0->aggregateClientStats().responses, 8u);
 }
@@ -252,7 +258,7 @@ TEST(FaultInjection, LinkDownWindowDelaysButCompletes)
     fc.linkDownTicks = 2 * ticks::us;
     fc.seed = 3;
     w.up0->configureFaults(fc);
-    IbvWc wc = w.runGather({1, 3, 5});
+    IbvWc wc = w.runGather(remoteIdxs(3));
     EXPECT_EQ(wc.status, IbvWc::Status::Success);
     const auto &fs = w.up0->faults()->stats();
     if (fs.downWindows > 0) {

@@ -41,26 +41,24 @@ struct TwoRackWorld
     {
         SnicConfig scfg;
         scfg.numRigUnits = 2;
-        scfg.proto = proto;
-        scfg.concat.proto = proto;
-        scfg.concat.delay = 227 * ticks::ns; // 500 cycles at 2.2 GHz
-        auto owner = [](PropIdx idx) {
-            return static_cast<NodeId>(idx % 2);
-        };
-        snic0 = std::make_unique<Snic>(eq, scfg, 0, owner, 4096, "s0");
-        snic1 = std::make_unique<Snic>(eq, scfg, 1, owner, 4096, "s1");
+        ConcatConfig concat;
+        concat.proto = proto;
+        concat.delay = 227 * ticks::ns; // 500 cycles at 2.2 GHz
+        // Node 1 owns idxs [2048, 4096).
+        Partition1D owners = Partition1D::equalRows(4096, 2);
+        snic0 = std::make_unique<Snic>(eq, scfg, concat, 0, 0, owners,
+                                       4096, "s0");
+        snic1 = std::make_unique<Snic>(eq, scfg, concat, 1, 0, owners,
+                                       4096, "s1");
 
         SwitchConfig tor_cfg;
-        tor_cfg.proto = proto;
         tor_cfg.netsparseEnabled = true;
         tor_cfg.concat.proto = proto;
         tor_cfg.concat.delay = 62 * ticks::ns + 500; // 125 cy at 2 GHz
         tor_cfg.cache.totalBytes = 1 << 20;
         torA = std::make_unique<Switch>(eq, tor_cfg, 0, "torA");
         torB = std::make_unique<Switch>(eq, tor_cfg, 1, "torB");
-        SwitchConfig spine_cfg;
-        spine_cfg.proto = proto;
-        spine = std::make_unique<Switch>(eq, spine_cfg, 2, "spine");
+        spine = std::make_unique<Switch>(eq, SwitchConfig{}, 2, "spine");
 
         // torA: port 0 host0, port 1 up. torB: port 0 host1, port 1 up.
         // spine: port 0 -> torA, port 1 -> torB.
@@ -91,7 +89,7 @@ struct TwoRackWorld
 TEST(Latency, SinglePropertyInterRackGather)
 {
     TwoRackWorld w;
-    std::vector<std::uint32_t> idx{1}; // homed on node 1, other rack
+    std::vector<std::uint32_t> idx{2048}; // homed on node 1, other rack
     RigQueuePair qp(w.eq, *w.snic0);
     IbvSendWr wr;
     wr.rig.idxList = idx.data();
@@ -116,7 +114,7 @@ TEST(Latency, SinglePropertyInterRackGather)
 TEST(Latency, CacheHitHalvesTheRoundTrip)
 {
     TwoRackWorld w;
-    std::vector<std::uint32_t> idx{1};
+    std::vector<std::uint32_t> idx{2048};
 
     // First gather by node 0 warms torA's Property Cache.
     {

@@ -59,16 +59,19 @@ expectSameIdentity(const PropertyRequest &resp, const PropertyRequest &read)
 class ServerCtx : public SnicContext
 {
   public:
-    explicit ServerCtx(EventQueue &eq) : filter_(64), pcie_(eq, {}) {}
+    explicit ServerCtx(EventQueue &eq)
+        : owners_(Partition1D::equalRows(64, 2)), filter_(64), pcie_(eq, {})
+    {}
 
     NodeId selfNode() const override { return 1; }
-    NodeId ownerOf(PropIdx) const override { return 1; }
+    const Partition1D &owners() const override { return owners_; }
     void sendPr(PropertyRequest &&, NodeId) override {}
     bool txBackpressured() const override { return false; }
     IdxFilter &idxFilter() override { return filter_; }
     PcieModel &pcie() override { return pcie_; }
 
   private:
+    Partition1D owners_;
     IdxFilter filter_;
     PcieModel pcie_;
 };
@@ -113,7 +116,8 @@ TEST(Protocol, ResponseRewriteKeepsSpanIdentity)
     for (std::uint32_t p = 0; p < 2; ++p) {
         sinks.push_back(std::make_unique<RecordingSink>());
         links.push_back(std::make_unique<Link>(
-            eq, LinkConfig{}, cfg.proto, sinks.back().get(), 0, "link"));
+            eq, LinkConfig{}, cfg.concat.proto, sinks.back().get(), 0,
+            "link"));
         tor.attachPort(p, links.back().get(), p == 0);
     }
     tor.setRouteFn([](NodeId dest) -> std::uint32_t {

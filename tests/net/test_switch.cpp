@@ -81,12 +81,13 @@ struct TorHarness
         cfg.concat.delay = concat_delay;
         cfg.cache.totalBytes = 1 << 20;
         sw = std::make_unique<Switch>(eq, cfg, 0, "tor");
-        l0 = std::make_unique<Link>(eq, LinkConfig{}, cfg.proto, &host0,
-                                    0, "d0");
-        l1 = std::make_unique<Link>(eq, LinkConfig{}, cfg.proto, &host1,
-                                    0, "d1");
-        lup = std::make_unique<Link>(eq, LinkConfig{}, cfg.proto, &spine,
-                                     0, "up");
+        const ProtocolParams &proto = cfg.concat.proto;
+        l0 = std::make_unique<Link>(eq, LinkConfig{}, proto, &host0, 0,
+                                    "d0");
+        l1 = std::make_unique<Link>(eq, LinkConfig{}, proto, &host1, 0,
+                                    "d1");
+        lup = std::make_unique<Link>(eq, LinkConfig{}, proto, &spine, 0,
+                                     "up");
         sw->attachPort(0, l0.get(), true);
         sw->attachPort(1, l1.get(), true);
         sw->attachPort(2, lup.get(), false);
@@ -227,7 +228,7 @@ TEST(Switch, UnconfiguredNetSparseSwitchPanics)
     cfg.netsparseEnabled = true;
     Switch sw(eq, cfg, 0, "tor");
     RecordingSink sink(eq);
-    Link l(eq, {}, cfg.proto, &sink, 0, "l");
+    Link l(eq, {}, cfg.concat.proto, &sink, 0, "l");
     sw.attachPort(0, &l, true);
     sw.setRouteFn([](NodeId) -> std::uint32_t { return 0; });
     sw.receivePacket(packetOf(readPr(1, 0), 0), 0);

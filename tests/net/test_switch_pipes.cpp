@@ -88,7 +88,8 @@ struct MultiPipeHarness
             std::string name = "p";
             name += std::to_string(p);
             links.push_back(std::make_unique<Link>(
-                eq, LinkConfig{}, cfg.proto, sinks.back().get(), 0, name));
+                eq, LinkConfig{}, cfg.concat.proto, sinks.back().get(), 0,
+                name));
             sw->attachPort(p, links.back().get(), p < 4);
         }
         sw->setRouteFn([](NodeId dest) -> std::uint32_t {

@@ -10,21 +10,22 @@ using namespace netsparse;
 
 namespace {
 
-/** A scripted SnicContext: captures PRs, controllable backpressure. */
+/**
+ * A scripted SnicContext: captures PRs, controllable backpressure. The
+ * idxs are split over 4 nodes in equal rows: with 1024 idxs, node n
+ * owns [256n, 256n + 256), and node 0 (this one) holds idxs < 256.
+ */
 class MockCtx : public SnicContext
 {
   public:
     MockCtx(EventQueue &eq, std::uint64_t num_idxs)
-        : eq_(eq), filter_(num_idxs), pcie_(eq, {})
+        : eq_(eq), owners_(Partition1D::equalRows(
+                       static_cast<std::uint32_t>(num_idxs), 4)),
+          filter_(num_idxs), pcie_(eq, {})
     {}
 
     NodeId selfNode() const override { return 0; }
-
-    NodeId
-    ownerOf(PropIdx idx) const override
-    {
-        return static_cast<NodeId>(idx % 4); // idx % 4 == 0 -> local
-    }
+    const Partition1D &owners() const override { return owners_; }
 
     void
     sendPr(PropertyRequest &&pr, NodeId dest) override
@@ -48,6 +49,7 @@ class MockCtx : public SnicContext
 
   private:
     EventQueue &eq_;
+    Partition1D owners_;
     IdxFilter filter_;
     PcieModel pcie_;
 };
@@ -92,18 +94,18 @@ TEST(RigClient, IssuesFiltersAndCoalesces)
 {
     ClientHarness h;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 3);
-    // Pre-fetched idx 9 (filter bit set); idx 8 is local (8 % 4 == 0);
-    // idx 5 repeats (coalesced).
-    h.ctx.idxFilter().set(9);
-    std::vector<std::uint32_t> idxs{5, 9, 8, 5, 6};
+    // Pre-fetched idx 258 (filter bit set); idx 2 is local (< 256);
+    // idx 257 repeats (coalesced).
+    h.ctx.idxFilter().set(258);
+    std::vector<std::uint32_t> idxs{257, 258, 2, 257, 513};
     unit.start(h.command(idxs));
     h.eq.run();
 
     const auto &st = unit.stats();
-    EXPECT_EQ(st.prsIssued, 2u); // 5 and 6
-    EXPECT_EQ(st.filtered, 1u);  // 9
-    EXPECT_EQ(st.localIdxs, 1u); // 8
-    EXPECT_EQ(st.coalesced, 1u); // second 5
+    EXPECT_EQ(st.prsIssued, 2u); // 257 and 513
+    EXPECT_EQ(st.filtered, 1u);  // 258
+    EXPECT_EQ(st.localIdxs, 1u); // 2
+    EXPECT_EQ(st.coalesced, 1u); // second 257
     EXPECT_EQ(st.idxsProcessed, idxs.size());
     ASSERT_EQ(h.ctx.sent.size(), 2u);
 
@@ -111,9 +113,9 @@ TEST(RigClient, IssuesFiltersAndCoalesces)
     EXPECT_EQ(pr.type, PrType::Read);
     EXPECT_EQ(pr.src, 0u);
     EXPECT_EQ(pr.srcTid, 3u);
-    EXPECT_EQ(pr.idx, 5u);
+    EXPECT_EQ(pr.idx, 257u);
     EXPECT_EQ(pr.propBytes, 64u);
-    EXPECT_EQ(h.ctx.sent[0].dest, 1u); // 5 % 4
+    EXPECT_EQ(h.ctx.sent[0].dest, 1u); // 257 is in node 1's rows
 
     // Still waiting for responses.
     EXPECT_TRUE(unit.busy());
@@ -126,8 +128,8 @@ TEST(RigClient, IssuesFiltersAndCoalesces)
     EXPECT_TRUE(h.lastSuccess);
     EXPECT_FALSE(unit.busy());
     // The fetched idxs are now published in the filter.
-    EXPECT_TRUE(h.ctx.idxFilter().test(5));
-    EXPECT_TRUE(h.ctx.idxFilter().test(6));
+    EXPECT_TRUE(h.ctx.idxFilter().test(257));
+    EXPECT_TRUE(h.ctx.idxFilter().test(513));
 }
 
 TEST(RigClient, EmptyCommandCompletesImmediately)
@@ -145,7 +147,7 @@ TEST(RigClient, AllLocalCompletesWithoutTraffic)
 {
     ClientHarness h;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{0, 4, 8, 12};
+    std::vector<std::uint32_t> idxs{0, 1, 2, 3};
     unit.start(h.command(idxs));
     h.eq.run();
     EXPECT_EQ(h.completions, 1);
@@ -158,7 +160,7 @@ TEST(RigClient, StallsOnFullPendingTableAndResumes)
     ClientHarness h;
     h.cfg.pendingCapacity = 2;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1, 2, 3, 5};
+    std::vector<std::uint32_t> idxs{256, 512, 768, 257};
     unit.start(h.command(idxs));
     h.eq.run();
     // Only two PRs fit in the pending table.
@@ -185,7 +187,7 @@ TEST(RigClient, BackpressureRetriesLater)
     ClientHarness h;
     h.ctx.backpressured = true;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1, 2};
+    std::vector<std::uint32_t> idxs{256, 512};
     unit.start(h.command(idxs));
     // Run a little: nothing can be sent.
     h.eq.runUntil(2 * ticks::us);
@@ -202,7 +204,7 @@ TEST(RigClient, WatchdogFailsLostOperations)
     ClientHarness h;
     h.cfg.watchdogTimeout = 10 * ticks::us;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1, 2};
+    std::vector<std::uint32_t> idxs{256, 512};
     unit.start(h.command(idxs));
     h.eq.run(); // responses never arrive
     EXPECT_EQ(h.completions, 1);
@@ -221,7 +223,7 @@ TEST(RigClient, WatchdogDoesNotFireOnSuccess)
     ClientHarness h;
     h.cfg.watchdogTimeout = 1 * ticks::ms;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1};
+    std::vector<std::uint32_t> idxs{256};
     unit.start(h.command(idxs));
     h.eq.runUntil(5 * ticks::us);
     ASSERT_EQ(h.ctx.sent.size(), 1u);
@@ -241,7 +243,7 @@ TEST(RigClient, StaleResponseCannotRetireTheNextCommandsPending)
     ClientHarness h;
     h.cfg.watchdogTimeout = 10 * ticks::us;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{5};
+    std::vector<std::uint32_t> idxs{257};
     unit.start(h.command(idxs));
     h.eq.run(); // no response; the watchdog fails the command
     EXPECT_EQ(h.completions, 1);
@@ -279,7 +281,7 @@ TEST(RigClient, WatchdogResetLeavesNoStaleChunkEvent)
     h.cfg.txRetryInterval = 100 * ticks::us; // stale event far out
     h.ctx.backpressured = true;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1, 2};
+    std::vector<std::uint32_t> idxs{256, 512};
     unit.start(h.command(idxs));
     h.eq.runUntil(15 * ticks::us); // chunk stalls on tx; watchdog fires
     EXPECT_EQ(h.completions, 1);
@@ -308,7 +310,7 @@ TEST(RigClient, RetransmitBackoffDoublesAndExhaustsBudget)
     h.cfg.retry.backoff = 2.0;
     h.cfg.retry.maxRetries = 3;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1};
+    std::vector<std::uint32_t> idxs{256};
     unit.start(h.command(idxs));
     h.eq.run(); // responses never arrive; the budget runs dry
 
@@ -337,7 +339,7 @@ TEST(RigClient, DuplicateResponseIsSuppressed)
     ClientHarness h;
     h.cfg.retry.enabled = true;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1, 2};
+    std::vector<std::uint32_t> idxs{256, 512};
     unit.start(h.command(idxs));
     h.eq.runUntil(5 * ticks::us);
     ASSERT_EQ(h.ctx.sent.size(), 2u);
@@ -360,7 +362,7 @@ TEST(RigClient, CorruptResponseIsNackedAndRefetchedBypassingCache)
     ClientHarness h;
     h.cfg.retry.enabled = true;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1};
+    std::vector<std::uint32_t> idxs{256};
     unit.start(h.command(idxs));
     h.eq.runUntil(5 * ticks::us);
     ASSERT_EQ(h.ctx.sent.size(), 1u);
@@ -389,7 +391,7 @@ TEST(RigClient, CorruptResponsePanics)
 {
     ClientHarness h;
     RigClientUnit unit(h.eq, h.cfg, h.ctx, 0);
-    std::vector<std::uint32_t> idxs{1};
+    std::vector<std::uint32_t> idxs{256};
     unit.start(h.command(idxs));
     h.eq.run();
     ASSERT_EQ(h.ctx.sent.size(), 1u);

@@ -35,13 +35,12 @@ struct SnicHarness
     {
         SnicConfig cfg;
         cfg.numRigUnits = units;
-        cfg.proto = proto;
-        cfg.concat.proto = proto;
-        cfg.concat.delay = 100 * ticks::ns;
-        snic = std::make_unique<Snic>(
-            eq, cfg, 0,
-            [](PropIdx idx) { return static_cast<NodeId>(idx % 4); },
-            1 << 16, "snic");
+        ConcatConfig concat;
+        concat.proto = proto;
+        concat.delay = 100 * ticks::ns;
+        snic = std::make_unique<Snic>(eq, cfg, concat, 0, 0,
+                                      Partition1D::equalRows(1 << 16, 4),
+                                      1 << 16, "snic");
         egress = std::make_unique<Link>(eq, LinkConfig{}, proto, &wire, 0,
                                         "up");
         snic->attachEgress(egress.get());
@@ -160,8 +159,8 @@ TEST(Snic, NeedsAtLeastTwoUnits)
     EventQueue eq;
     SnicConfig cfg;
     cfg.numRigUnits = 1;
-    EXPECT_THROW(Snic(eq, cfg, 0, [](PropIdx) { return NodeId{0}; }, 16,
-                      "bad"),
+    EXPECT_THROW(Snic(eq, cfg, ConcatConfig{}, 0, 0,
+                      Partition1D::equalRows(16, 1), 16, "bad"),
                  std::logic_error);
 }
 
