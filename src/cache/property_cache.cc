@@ -9,22 +9,13 @@ namespace netsparse {
 PropertyCache::PropertyCache(const PropertyCacheConfig &cfg) : cfg_(cfg)
 {
     ns_assert(cfg_.ways > 0, "cache needs at least one way");
-    // The way array is allocated lazily by configureForKernel, sized
-    // for the mode the kernel actually uses - not for the worst-case
-    // minimum-line mode, whose array can be 4x larger.
-    lineBytes_ = kMinLineBytes;
 }
 
 void
 PropertyCache::configureForKernel(std::uint32_t propertyBytes)
 {
-    if (!enabled()) {
-        lineBytes_ = kMinLineBytes;
-        numSets_ = 0;
-        ways_.reset();
-        wayCapacity_ = 0;
+    if (!enabled())
         return;
-    }
     if (propertyBytes > kMaxLineBytes) {
         ns_fatal("property size ", propertyBytes,
                  " exceeds the largest cache line ", kMaxLineBytes,
@@ -37,87 +28,73 @@ PropertyCache::configureForKernel(std::uint32_t propertyBytes)
 
     std::uint64_t entries = cfg_.totalBytes / lineBytes_;
     numSets_ = std::max<std::uint64_t>(1, entries / cfg_.ways);
-    // Grow-only: carried-over entries are dead anyway once the epoch
-    // advances, so invalidation never rewrites the (multi-megabyte)
-    // way array. calloc hands back zero-on-demand pages, so even the
-    // initial allocation costs nothing until sets are actually touched.
-    std::uint64_t needed = numSets_ * cfg_.ways;
-    if (wayCapacity_ < needed) {
-        ways_.reset(
-            static_cast<Way *>(std::calloc(needed, sizeof(Way))));
-        ns_assert(ways_, "property cache allocation failed");
-        wayCapacity_ = needed;
+    // Grow-only: carried-over sets are dead anyway once the epoch
+    // advances, so invalidation never rewrites the arrays.
+    if (setCapacity_ < numSets_) {
+        std::uint64_t ways = numSets_ * cfg_.ways;
+        sets_.reset(static_cast<SetHeader *>(
+            std::calloc(numSets_, sizeof(SetHeader))));
+        keys_.reset(
+            static_cast<PropIdx *>(std::calloc(ways, sizeof(PropIdx))));
+        checksums_.reset(static_cast<std::uint64_t *>(
+            std::calloc(ways, sizeof(std::uint64_t))));
+        ns_assert(sets_ && keys_ && checksums_,
+                  "property cache allocation failed");
+        setCapacity_ = numSets_;
     }
     ++epoch_;
-    useClock_ = 0;
+    ns_assert(epoch_ != 0, "property cache epoch wrapped");
 }
 
 void
-PropertyCache::invalidateAll()
+PropertyCache::moveToFront(std::uint64_t s, std::uint32_t w, PropIdx key,
+                           std::uint64_t checksum)
 {
-    ++epoch_;
+    PropIdx *ks = keys_.get() + s * cfg_.ways;
+    std::uint64_t *cs = checksums_.get() + s * cfg_.ways;
+    std::copy_backward(ks, ks + w, ks + w + 1);
+    std::copy_backward(cs, cs + w, cs + w + 1);
+    ks[0] = key;
+    cs[0] = checksum;
 }
 
 bool
 PropertyCache::lookup(PropIdx idx, std::uint64_t &checksum)
 {
-    if (!enabled() || !ways_)
+    if (!enabled() || !keys_)
         return false;
     ++lookups_;
     std::uint64_t s = idx % numSets_;
-    std::uint64_t tag = idx / numSets_;
-    Way *ws = set(s);
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (live(ws[w]) && ws[w].tag == tag) {
-            ++hits_;
-            ws[w].lastUse = ++useClock_;
-            checksum = ws[w].checksum;
-            return true;
-        }
-    }
-    return false;
+    const PropIdx *ks = keys_.get() + s * cfg_.ways;
+    const PropIdx *hit = std::find(ks, ks + fill(s), idx);
+    if (hit == ks + fill(s))
+        return false;
+    ++hits_;
+    checksum = checksums_[hit - keys_.get()];
+    moveToFront(s, hit - ks, idx, checksum);
+    return true;
 }
 
 bool
 PropertyCache::insert(PropIdx idx, std::uint64_t checksum)
 {
-    if (!enabled() || !ways_)
+    if (!enabled() || !keys_)
         return false;
     std::uint64_t s = idx % numSets_;
-    std::uint64_t tag = idx / numSets_;
-    Way *ws = set(s);
-
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (live(ws[w]) && ws[w].tag == tag) {
-            ++duplicateInserts_;
-            return false;
-        }
+    std::uint32_t n = fill(s);
+    const PropIdx *ks = keys_.get() + s * cfg_.ways;
+    if (std::find(ks, ks + n, idx) != ks + n) {
+        ++duplicateInserts_;
+        return false;
     }
-    // Prefer an invalid way; otherwise evict the least recently used.
-    Way *victim = nullptr;
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (!live(ws[w])) {
-            victim = &ws[w];
-            break;
-        }
-        if (!victim || ws[w].lastUse < victim->lastUse)
-            victim = &ws[w];
-    }
-    ns_assert(victim, "no victim way found");
-    if (live(*victim))
+    if (n == cfg_.ways) {
+        --n; // the least recently used way makes room
         ++evictions_;
-    victim->epoch = epoch_;
-    victim->tag = tag;
-    victim->checksum = checksum;
-    victim->lastUse = ++useClock_;
+    }
+    sets_[s] = {epoch_, n + 1};
+    moveToFront(s, n, idx, checksum);
     ++inserts_;
     return true;
-}
-
-void
-PropertyCache::resetStats()
-{
-    lookups_ = hits_ = inserts_ = evictions_ = duplicateInserts_ = 0;
 }
 
 void

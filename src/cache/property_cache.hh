@@ -13,6 +13,9 @@
  *
  * The simulator stores one 64-bit checksum per entry in place of the
  * property bytes; capacity accounting still uses the true property size.
+ * A way is the full key and that checksum. A set keeps its ways most
+ * recently used first, so LRU needs no timestamp: a hit moves its way to
+ * the front, an insert writes the front, an eviction drops the last way.
  */
 
 #ifndef NETSPARSE_CACHE_PROPERTY_CACHE_HH
@@ -45,6 +48,9 @@ class PropertyCache
     static constexpr std::uint32_t kMinLineBytes = 16;
     /** Largest supported property ("max cache line"). */
     static constexpr std::uint32_t kMaxLineBytes = 512;
+    /** Host bytes per way: the full key and its checksum. */
+    static constexpr std::size_t kWayBytes =
+        sizeof(PropIdx) + sizeof(std::uint64_t);
 
     explicit PropertyCache(const PropertyCacheConfig &cfg);
 
@@ -53,9 +59,6 @@ class PropertyCache
      * size and invalidate everything.
      */
     void configureForKernel(std::uint32_t propertyBytes);
-
-    /** Invalidate all entries without changing the mode. */
-    void invalidateAll();
 
     /**
      * Look up @p idx (read-PR path). On a hit, @p checksum receives the
@@ -91,8 +94,6 @@ class PropertyCache
         return lookups_ ? static_cast<double>(hits_) / lookups_ : 0.0;
     }
 
-    void resetStats();
-
     /**
      * Register every counter under "<prefix>." (the docs/observability.md
      * property-cache contract, e.g. "tor0.cache.hits").
@@ -101,42 +102,51 @@ class PropertyCache
 
   private:
     /**
-     * One way. Validity is epoch-based: a way holds a live entry only
-     * when its epoch matches the cache's. Bumping the cache epoch
-     * invalidates every entry in O(1), which makes the per-kernel
-     * reconfiguration of a multi-megabyte cache free instead of a
-     * full-array rewrite on the simulator's critical path.
+     * A set's live ways are its first @c fill ways, and only while
+     * @c epoch matches the cache's: bumping the cache epoch invalidates
+     * every set in O(1), so the per-kernel reconfiguration of a
+     * multi-megabyte cache never rewrites it. An all-zero header (epoch
+     * 0 < any live epoch) is an empty set. A 32-bit epoch keeps the
+     * header at 8 B; configureForKernel panics if it ever wraps.
      */
-    struct Way
+    struct SetHeader
     {
-        std::uint64_t tag = 0;
-        std::uint64_t checksum = 0;
-        std::uint64_t lastUse = 0;
-        std::uint64_t epoch = 0; // 0 = never written
+        std::uint32_t epoch;
+        std::uint32_t fill;
     };
-
-    Way *set(std::uint64_t s) { return ways_.get() + s * cfg_.ways; }
-
-    bool live(const Way &w) const { return w.epoch == epoch_; }
 
     struct FreeDeleter
     {
-        void operator()(Way *p) const { std::free(p); }
+        void operator()(void *p) const { std::free(p); }
     };
 
+    /** Live ways of set @p s. */
+    std::uint32_t
+    fill(std::uint64_t s) const
+    {
+        return sets_[s].epoch == epoch_ ? sets_[s].fill : 0;
+    }
+
+    /**
+     * Shift ways [0, @p w) of set @p s back by one, over way @p w, and
+     * write (@p key, @p checksum) to the front.
+     */
+    void moveToFront(std::uint64_t s, std::uint32_t w, PropIdx key,
+                     std::uint64_t checksum);
+
     PropertyCacheConfig cfg_;
-    std::uint32_t lineBytes_ = 0;
+    std::uint32_t lineBytes_ = kMinLineBytes;
     std::uint64_t numSets_ = 0;
     /**
-     * calloc-backed, not a vector: an all-zero Way is exactly the
-     * "never written" state (epoch 0 < any live epoch), so fresh
-     * zero-on-demand pages from the allocator stand in for the
-     * multi-megabyte memset a vector resize would do up front.
+     * calloc-backed and grow-only, sized by configureForKernel for the
+     * kernel's mode: zero-on-demand pages cost nothing until their sets
+     * are touched, where a vector would memset megabytes up front.
      */
-    std::unique_ptr<Way[], FreeDeleter> ways_;
-    std::uint64_t wayCapacity_ = 0;
-    std::uint64_t useClock_ = 0;
-    std::uint64_t epoch_ = 1;
+    std::unique_ptr<SetHeader[], FreeDeleter> sets_;
+    std::unique_ptr<PropIdx[], FreeDeleter> keys_;
+    std::unique_ptr<std::uint64_t[], FreeDeleter> checksums_;
+    std::uint64_t setCapacity_ = 0;
+    std::uint32_t epoch_ = 1;
 
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;

@@ -57,16 +57,17 @@ DistributedSpmm::run(const std::vector<float> &x0,
     ns_assert(iterations >= 1, "need at least one iteration");
 
     DistributedKernelResult result;
-    std::vector<float> x = x0;
-    for (std::uint32_t it = 0; it < iterations; ++it) {
-        if (simulate_) {
-            // Each iteration re-runs the control-plane setup (fresh Idx
-            // Filters and invalidated Property Caches) and the gather.
-            ClusterSim sim(cfg_);
-            result.iterations.push_back(sim.runGather(a_, part_, k_));
-        }
-        x = spmmIteration(a_, part_, x, k_);
+    if (simulate_) {
+        // Each iteration re-runs the control-plane setup (fresh Idx
+        // Filters and invalidated Property Caches) and gathers the same
+        // idxs, and the simulator is deterministic: one simulated
+        // gather is every iteration's.
+        result.iterations.assign(iterations,
+                                 ClusterSim(cfg_).runGather(a_, part_, k_));
     }
+    std::vector<float> x = x0;
+    for (std::uint32_t it = 0; it < iterations; ++it)
+        x = spmmIteration(a_, part_, x, k_);
     result.output = std::move(x);
     return result;
 }

@@ -9,9 +9,10 @@
  *    partitioned across the cluster (results are bit-identical to the
  *    single-node reference kernels - writes are always local, reads of
  *    remote input properties are the gathers);
- *  - simulate the communication phase of every iteration through the
- *    full NetSparse hardware stack (ClusterSim), so each iteration
- *    yields both the numeric output and the cluster timing;
+ *  - simulate the communication phase through the full NetSparse
+ *    hardware stack (ClusterSim), once, since every iteration gathers
+ *    the same idxs: each iteration yields both the numeric output and
+ *    the cluster timing;
  *  - support multi-iteration kernels (Section 2.1): the output property
  *    array of one iteration becomes the input of the next, the Idx
  *    Filters are cleared and the Property Caches are re-configured by

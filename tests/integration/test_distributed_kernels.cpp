@@ -4,6 +4,7 @@
 
 #include "runtime/distributed_kernels.hh"
 #include "sim/rng.hh"
+#include "sim/stats_export.hh"
 #include "sparse/generators.hh"
 #include "sparse/kernels.hh"
 
@@ -69,7 +70,8 @@ TEST(DistributedKernels, MultiIterationChainsOutputs)
 TEST(DistributedKernels, IterationsAreIndependentGathers)
 {
     // Each iteration reconfigures the kernel (fresh Idx Filters and
-    // invalidated caches), so every iteration re-fetches its uniques.
+    // invalidated caches), so every iteration re-fetches its uniques:
+    // a later iteration's gather is a fresh cluster's.
     Csr a = makeBenchmarkMatrix(MatrixKind::Uk, 0.02);
     const std::uint32_t nodes = 8;
     Partition1D part = Partition1D::equalRows(a.rows, nodes);
@@ -78,12 +80,37 @@ TEST(DistributedKernels, IterationsAreIndependentGathers)
     DistributedSpmm exec(smallCluster(nodes), a, part, 1);
     DistributedKernelResult r = exec.run(x, 2);
     ASSERT_EQ(r.iterations.size(), 2u);
-    std::uint64_t prs0 = 0, prs1 = 0;
-    for (NodeId n = 0; n < nodes; ++n) {
-        prs0 += r.iterations[0].nodes[n].prsIssued;
-        prs1 += r.iterations[1].nodes[n].prsIssued;
+    GatherRunResult fresh =
+        ClusterSim(smallCluster(nodes)).runGather(a, part, 1);
+    EXPECT_EQ(r.iterations[1].commTicks, fresh.commTicks);
+    for (NodeId n = 0; n < nodes; ++n)
+        EXPECT_EQ(r.iterations[1].nodes[n].prsIssued,
+                  fresh.nodes[n].prsIssued);
+}
+
+TEST(DistributedKernels, GatherIsSimulatedOnce)
+{
+    Csr a = makeBenchmarkMatrix(MatrixKind::Uk, 0.02);
+    const std::uint32_t nodes = 8;
+    Partition1D part = Partition1D::equalRows(a.rows, nodes);
+    auto x = randomDense(a.cols, 1, 3);
+
+    StatsExport collector;
+    collector.setCollect(true);
+    StatsExport::Bind bind(collector);
+    DistributedSpmm exec(smallCluster(nodes), a, part, 1);
+    DistributedKernelResult r = exec.run(x, 3);
+    EXPECT_EQ(collector.numRuns(), 1u);
+    ASSERT_EQ(r.iterations.size(), 3u);
+    for (const GatherRunResult &it : r.iterations) {
+        EXPECT_EQ(it.commTicks, r.iterations[0].commTicks);
+        EXPECT_EQ(it.executedEvents, r.iterations[0].executedEvents);
+        EXPECT_EQ(it.totalWireBytes, r.iterations[0].totalWireBytes);
+        EXPECT_EQ(it.cacheHits, r.iterations[0].cacheHits);
+        for (NodeId n = 0; n < nodes; ++n)
+            EXPECT_EQ(it.nodes[n].prsIssued,
+                      r.iterations[0].nodes[n].prsIssued);
     }
-    EXPECT_EQ(prs0, prs1);
 }
 
 TEST(DistributedKernels, FunctionalOnlyModeSkipsSimulation)
