@@ -56,7 +56,7 @@ benchMain(int, char **)
             cfg.virtualizedCqs = true;
             break;
           case 2:
-            cfg.cachePerPipe = true;
+            cfg.cacheLayout = CacheLayout::PerPipe;
             break;
           case 3:
             cfg.host.policy = BatchPolicy::Adaptive;

@@ -58,7 +58,8 @@ benchMain(int, char **)
         const Scenario &sc = scenarios[i];
         ClusterConfig cfg = defaultClusterConfig(nodes);
         cfg.fairQueue = sc.fairQueue;
-        cfg.tenantCachePartitioned = sc.partitionedCache;
+        if (sc.partitionedCache)
+            cfg.cacheLayout = CacheLayout::PerTenant;
         BackgroundTrafficConfig bg;
         if (*sc.background)
             BackgroundTrafficConfig::parse(sc.background, bg);

@@ -317,7 +317,8 @@ try {
     cfg.eventBatching = batched_events;
     cfg.memoryStats = memory_stats;
     cfg.fairQueue = switch_queue == "fq";
-    cfg.tenantCachePartitioned = cache_mode == "partitioned";
+    if (cache_mode == "partitioned")
+        cfg.cacheLayout = CacheLayout::PerTenant;
     if (!faults_spec.empty())
         cfg.faults = FaultConfig::parse(faults_spec);
     cfg.telemetryInterval = telemetry_interval;
@@ -382,8 +383,7 @@ try {
                     "queues, %s cache)\n",
                     ticks::toNs(mr.makespanTicks) / 1e3, num_jobs,
                     cfg.fairQueue ? "fq" : "fifo",
-                    cfg.tenantCachePartitioned ? "partitioned"
-                                               : "shared");
+                    cache_mode.c_str());
         for (std::uint32_t j = 0; j < mr.jobs.size(); ++j) {
             const GatherRunResult &jr = mr.jobs[j];
             std::printf("  job%u             : %10.2f us  (tail node "

@@ -58,11 +58,11 @@ runSaOpt(const Csr &m, const Partition1D &part, std::uint32_t k,
 {
     const std::uint32_t n = part.numParts();
     const std::uint64_t prop_bytes = 4ull * k;
-    const std::uint32_t pr_resp_bytes =
-        p.proto.prHeaderBytes + static_cast<std::uint32_t>(prop_bytes);
+    const std::uint32_t pr_resp_bytes = ProtocolParams::prHeaderBytes +
+                                        static_cast<std::uint32_t>(prop_bytes);
     const std::uint32_t msg_capacity =
-        p.messageBytes - p.proto.concatBaseBytes();
-    const std::uint32_t msg_overhead = p.proto.concatBaseBytes();
+        p.messageBytes - ProtocolParams::concatBaseBytes();
+    const std::uint32_t msg_overhead = ProtocolParams::concatBaseBytes();
 
     BaselineResult r;
     r.perNodeTicks.assign(n, 0);

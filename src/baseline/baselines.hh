@@ -42,7 +42,6 @@ namespace netsparse {
 struct BaselineParams
 {
     Bandwidth lineRate = Bandwidth::fromGbps(400.0);
-    ProtocolParams proto;
     /** Cores per node available for communication (Section 8.1: 64). */
     std::uint32_t coresPerNode = 64;
     /** Conveyors ranks per node (one per core). */

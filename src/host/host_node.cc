@@ -102,7 +102,7 @@ HostNode::drainCq()
             ++failures_;
             if (it != inflightBatches_.end()) {
                 InflightBatch batch = it->batch;
-                if (batch.attempts < cfg_.commandRetries) {
+                if (batch.attempts < kCommandRetries) {
                     // Retry-after-watchdog: re-post the whole batch.
                     // The SNIC discarded its partial results; filter
                     // and cache state make the redo cheaper.

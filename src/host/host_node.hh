@@ -52,13 +52,6 @@ struct HostConfig
     std::uint32_t autoBatchMin = 512;
     /** Batch-size selection policy. */
     BatchPolicy policy = BatchPolicy::Static;
-    /**
-     * Re-posts of a RIG command after a watchdog/retry-budget failure
-     * before the host gives up on that batch. The zero-fault path never
-     * fails a command, so this costs nothing when the fabric is
-     * lossless.
-     */
-    std::uint32_t commandRetries = 3;
 };
 
 /** Drives one node's gather through the verbs layer. */
@@ -88,12 +81,19 @@ class HostNode
     /** Failed commands the host re-posted. */
     std::uint64_t commandRetries() const { return commandRetries_; }
 
-    /** Batches abandoned after exhausting commandRetries. */
+    /** Batches abandoned after exhausting kCommandRetries. */
     std::uint64_t permanentFailures() const { return permanentFailures_; }
 
     std::uint64_t commandsIssued() const { return commandsIssued_; }
 
   private:
+    /**
+     * Re-posts of a RIG command after a watchdog/retry-budget failure
+     * before the host gives up on that batch. The zero-fault path never
+     * fails a command, so this costs nothing when the fabric is
+     * lossless.
+     */
+    static constexpr std::uint32_t kCommandRetries = 3;
     /** Largest automatic or adaptive batch (paper default 32k). */
     static constexpr std::uint32_t kAutoBatchMax = 32768;
     /** Core time to assemble and post one work request. */

@@ -79,9 +79,6 @@ class RigQueuePair
     /** Pop one completion. @return false when the CQ is empty. */
     bool pollCq(IbvWc &wc);
 
-    /** Completions waiting on the CQ. */
-    std::size_t cqDepth() const { return cq_.size(); }
-
     /** Work requests posted but not yet completed. */
     std::size_t outstanding() const { return outstanding_; }
 

@@ -7,10 +7,11 @@
 
 namespace netsparse {
 
-Link::Link(EventQueue &eq, LinkConfig cfg, ProtocolParams proto,
-           PacketSink *sink, std::uint32_t sinkPort, std::string name)
-    : eq_(eq), cfg_(cfg), proto_(proto), sink_(sink), sinkPort_(sinkPort),
-      name_(std::move(name))
+Link::Link(EventQueue &eq, LinkConfig cfg, ProtocolParams,
+           PacketSink *sink, std::uint32_t sinkPort, std::string name,
+           bool batched)
+    : eq_(eq), cfg_(cfg), batched_(batched), sink_(sink),
+      sinkPort_(sinkPort), name_(std::move(name))
 {
     ns_assert(sink_, "link ", name_, " has no sink");
 }
@@ -18,9 +19,9 @@ Link::Link(EventQueue &eq, LinkConfig cfg, ProtocolParams proto,
 void
 Link::send(Packet &&pkt)
 {
-    std::uint64_t wire = pkt.wireBytes(proto_);
-    ns_assert(wire <= proto_.mtuBytes, "packet exceeds MTU on ", name_,
-              ": ", wire, " > ", proto_.mtuBytes);
+    std::uint64_t wire = pkt.wireBytes();
+    ns_assert(wire <= ProtocolParams::mtuBytes, "packet exceeds MTU on ",
+              name_, ": ", wire, " > ", ProtocolParams::mtuBytes);
 
     LinkFaultInjector::Verdict verdict;
     if (faults_)
@@ -30,7 +31,6 @@ Link::send(Packet &&pkt)
         // A dead port (link-down window) discards the packet before
         // serialization: no wire time is burned.
         ++dropped_;
-        droppedBytes_ += wire;
         NS_TRACE(eq_, tw.instant(tw.track(name_), "fault.linkDown",
                                  eq_.now()));
         return;
@@ -66,7 +66,6 @@ Link::send(Packet &&pkt)
         // busyTicks_) but is never delivered, so it counts only in the
         // drop statistics - not in the sent packet/byte/payload totals.
         ++dropped_;
-        droppedBytes_ += wire;
         NS_TRACE(eq_, tw.instant(tw.track(name_), "drop", busyUntil_));
         return;
     }
@@ -83,7 +82,7 @@ Link::send(Packet &&pkt)
                                                deliverySeq_++);
     // Zero-latency links cannot train: a same-tick flush could race
     // the append (and such configurations run single-shard anyway).
-    if (cfg_.batched && cfg_.latency > 0)
+    if (batched_ && cfg_.latency > 0)
         sendBatched(arrival, key, start, std::move(pkt));
     else
         deliverAt(arrival, key, std::move(pkt));

@@ -61,29 +61,31 @@ struct LinkConfig
 {
     Bandwidth bandwidth = Bandwidth::fromGbps(400.0);
     Tick latency = 450 * ticks::ns;
-
-    /**
-     * Delivery-train batching (docs/scaling.md). When a burst backs up
-     * the wire, consecutive deliveries whose arrival falls within the
-     * hold window of the train head are executed by one scheduled event
-     * at the train's deadline, in exact (tick, key) order; telemetry-
-     * identified link backlogs are where the event count concentrates,
-     * and this collapses them by up to Link::kTrainMaxPackets.
-     * Deliveries on an idle wire stay exactly on time. Off by default
-     * (timing-exact per-packet delivery). Statistics stay byte-identical
-     * across shard counts either way - a cross-shard train splits into
-     * per-packet events at the same ticks and keys, and the
-     * executed-event accounting matches by construction.
-     */
-    bool batched = false;
 };
 
 /** One directed link. */
 class Link
 {
   public:
+    /**
+     * @param proto the wire protocol (constants; see ProtocolParams).
+     * @param batched delivery-train batching (docs/scaling.md), on
+     *        under ClusterConfig::eventBatching. When a burst backs up
+     *        the wire, consecutive deliveries whose arrival falls
+     *        within the hold window of the train head are executed by
+     *        one scheduled event at the train's deadline, in exact
+     *        (tick, key) order; telemetry-identified link backlogs are
+     *        where the event count concentrates, and this collapses
+     *        them by up to kTrainMaxPackets. Deliveries on an idle wire
+     *        stay exactly on time. Off by default (timing-exact
+     *        per-packet delivery). Statistics stay byte-identical
+     *        across shard counts either way - a cross-shard train
+     *        splits into per-packet events at the same ticks and keys,
+     *        and the executed-event accounting matches by construction.
+     */
     Link(EventQueue &eq, LinkConfig cfg, ProtocolParams proto,
-         PacketSink *sink, std::uint32_t sinkPort, std::string name);
+         PacketSink *sink, std::uint32_t sinkPort, std::string name,
+         bool batched = false);
 
     /** Enqueue @p pkt for transmission. */
     void send(Packet &&pkt);
@@ -143,7 +145,6 @@ class Link
     std::uint64_t bytesSent() const { return bytes_; }
     std::uint64_t payloadBytesSent() const { return payloadBytes_; }
     std::uint64_t packetsDropped() const { return dropped_; }
-    std::uint64_t bytesDropped() const { return droppedBytes_; }
     Tick busyTicks() const { return busyTicks_; }
     const std::string &name() const { return name_; }
 
@@ -197,7 +198,7 @@ class Link
 
     EventQueue &eq_;
     LinkConfig cfg_;
-    ProtocolParams proto_;
+    bool batched_;
     PacketSink *sink_;
     std::uint32_t sinkPort_;
     std::string name_;
@@ -216,7 +217,6 @@ class Link
     std::uint64_t bytes_ = 0;
     std::uint64_t payloadBytes_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint64_t droppedBytes_ = 0;
     Tick busyTicks_ = 0;
 };
 

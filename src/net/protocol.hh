@@ -100,37 +100,41 @@ static_assert(sizeof(PropertyRequest) <= 48,
               "PropertyRequest is copied through every PR buffer; keep "
               "it at 48 B");
 
-/** Header-size and MTU parameters (paper Table 5 defaults). */
+/**
+ * Header sizes and MTU (paper Table 5). Constants: the type stays so
+ * that configs and call sites can name the protocol, but it carries no
+ * state.
+ */
 struct ProtocolParams
 {
     /** RDMA and below ("upper layers"). */
-    std::uint32_t upperHeaderBytes = 50;
+    static constexpr std::uint32_t upperHeaderBytes = 50;
     /** Concatenation-layer header. */
-    std::uint32_t concatHeaderBytes = 12;
+    static constexpr std::uint32_t concatHeaderBytes = 12;
     /** Per-PR header. */
-    std::uint32_t prHeaderBytes = 18;
+    static constexpr std::uint32_t prHeaderBytes = 18;
     /** Single-PR layer used when concatenation is disabled. */
-    std::uint32_t soloHeaderBytes = 10;
+    static constexpr std::uint32_t soloHeaderBytes = 10;
     /** Maximum transmission unit. */
-    std::uint32_t mtuBytes = 1500;
+    static constexpr std::uint32_t mtuBytes = 1500;
 
     /** Fixed per-packet overhead of a concatenated packet. */
-    std::uint32_t
-    concatBaseBytes() const
+    static std::uint32_t
+    concatBaseBytes()
     {
         return upperHeaderBytes + concatHeaderBytes;
     }
 
     /** Wire size of one PR inside a concatenated packet. */
-    std::uint32_t
-    prWireBytes(const PropertyRequest &pr) const
+    static std::uint32_t
+    prWireBytes(const PropertyRequest &pr)
     {
         return prHeaderBytes + pr.payloadBytes;
     }
 
     /** Wire size of a lone, unconcatenated PR packet. */
-    std::uint32_t
-    soloWireBytes(const PropertyRequest &pr) const
+    static std::uint32_t
+    soloWireBytes(const PropertyRequest &pr)
     {
         return upperHeaderBytes + soloHeaderBytes + prHeaderBytes +
                pr.payloadBytes;
@@ -161,19 +165,19 @@ struct Packet
 
     /** Total bytes on the wire, headers included. */
     std::uint64_t
-    wireBytes(const ProtocolParams &proto) const
+    wireBytes() const
     {
         if (rawBytes)
             return rawBytes;
         if (!concatenated) {
             std::uint64_t b = 0;
             for (const auto &pr : prs)
-                b += proto.soloWireBytes(pr);
+                b += ProtocolParams::soloWireBytes(pr);
             return b;
         }
-        std::uint64_t b = proto.concatBaseBytes();
+        std::uint64_t b = ProtocolParams::concatBaseBytes();
         for (const auto &pr : prs)
-            b += proto.prWireBytes(pr);
+            b += ProtocolParams::prWireBytes(pr);
         return b;
     }
 

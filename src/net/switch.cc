@@ -42,30 +42,16 @@ Switch::configureForKernel(std::uint32_t prop_bytes)
         kPortsPerPipe;
 
     if (caches_.empty()) {
-        if (cfg_.tenantCachePartitioned && cfg_.numTenants > 1) {
-            // Per-tenant isolation: each job owns an equal slice of
-            // the budget, so one tenant's working set cannot evict
-            // another's. Orthogonal to (and exclusive with) the
-            // per-pipe organization.
-            ns_assert(!cfg_.cachePerPipe,
-                      "tenant-partitioned cache is exclusive with "
-                      "cachePerPipe on ", name_);
-            PropertyCacheConfig per_tenant = cfg_.cache;
-            per_tenant.totalBytes =
-                cfg_.cache.totalBytes / cfg_.numTenants;
-            for (std::uint32_t t = 0; t < cfg_.numTenants; ++t)
-                caches_.push_back(
-                    std::make_unique<PropertyCache>(per_tenant));
-        } else if (cfg_.cachePerPipe) {
-            PropertyCacheConfig per_pipe = cfg_.cache;
-            per_pipe.totalBytes = cfg_.cache.totalBytes / pipes;
-            for (std::uint32_t p = 0; p < pipes; ++p)
-                caches_.push_back(
-                    std::make_unique<PropertyCache>(per_pipe));
-        } else {
-            caches_.push_back(
-                std::make_unique<PropertyCache>(cfg_.cache));
-        }
+        // Equal slices of the budget: per pipe, or per tenant so one
+        // job's working set cannot evict another's.
+        std::uint32_t slices =
+            cfg_.cacheLayout == CacheLayout::PerPipe     ? pipes
+            : cfg_.cacheLayout == CacheLayout::PerTenant ? cfg_.numTenants
+                                                         : 1;
+        PropertyCacheConfig slice = cfg_.cache;
+        slice.totalBytes = cfg_.cache.totalBytes / slices;
+        for (std::uint32_t i = 0; i < slices; ++i)
+            caches_.push_back(std::make_unique<PropertyCache>(slice));
     }
     for (auto &c : caches_)
         c->configureForKernel(prop_bytes);
@@ -107,17 +93,15 @@ Switch::receivePacket(Packet &&pkt, std::uint32_t in_port)
 PropertyCache &
 Switch::cacheFor(const PropertyRequest &pr, std::uint32_t pipe)
 {
-    if (cfg_.tenantCachePartitioned && cfg_.numTenants > 1) {
-        std::uint32_t t = pr.tenant < cfg_.numTenants
-                              ? pr.tenant
-                              : cfg_.numTenants - 1;
-        return *caches_[t];
+    switch (cfg_.cacheLayout) {
+      case CacheLayout::PerPipe:
+        return *caches_[pipe];
+      case CacheLayout::PerTenant:
+        return *caches_[pr.tenant];
+      case CacheLayout::Shared:
+        break;
     }
-    // With the shared organization there is a single cache array; in
-    // per-pipe mode each middle pipe owns a slice (see header comment).
-    ns_assert(!cfg_.cachePerPipe || pipe < caches_.size(),
-              "pipe ", pipe, " has no cache slice on ", name_);
-    return *caches_[cfg_.cachePerPipe ? pipe : 0];
+    return *caches_[0];
 }
 
 void
@@ -180,9 +164,7 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
                 pr.servedByCache = true;
                 ++servedByCache_;
                 if (!servedByCacheTenant_.empty())
-                    ++servedByCacheTenant_[pr.tenant < cfg_.numTenants
-                                               ? pr.tenant
-                                               : cfg_.numTenants - 1];
+                    ++servedByCacheTenant_[pr.tenant];
                 if (pr.traced)
                     if (SpanBuffer *sb = eq_.spans())
                         sb->record(sb->idOf(pr), SpanStage::CacheHit,
@@ -289,11 +271,10 @@ Switch::drainPort(std::uint32_t p)
             fq.rr = (fq.rr + 1) % lanes;
             continue;
         }
-        auto wire = static_cast<std::int64_t>(
-            lane.front().wireBytes(cfg_.concat.proto));
+        auto wire = static_cast<std::int64_t>(lane.front().wireBytes());
         if (fq.deficit[fq.rr] < wire) {
             fq.deficit[fq.rr] +=
-                static_cast<std::int64_t>(cfg_.concat.proto.mtuBytes);
+                static_cast<std::int64_t>(ProtocolParams::mtuBytes);
             fq.rr = (fq.rr + 1) % lanes;
             continue;
         }
@@ -382,7 +363,8 @@ Switch::exportStats(StatRegistry &reg, const std::string &prefix) const
         // Sliced caches (per pipe or per tenant): export each slice
         // and the aggregate counters.
         const char *slice =
-            cfg_.tenantCachePartitioned ? ".tenant" : ".pipe";
+            cfg_.cacheLayout == CacheLayout::PerTenant ? ".tenant"
+                                                       : ".pipe";
         for (std::size_t p = 0; p < caches_.size(); ++p)
             caches_[p]->exportStats(
                 reg, prefix + slice + std::to_string(p) + ".cache");

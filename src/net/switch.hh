@@ -13,15 +13,16 @@
  * different sources) before heading to their output ports through the
  * second crossbar.
  *
- * Cache organization: by default the switch's cache budget behaves as
- * one shared cache (the middle-pipe layer plus the second crossbar make
- * every pipe's SRAM reachable; with our per-destination deterministic
- * routing this is the organization that keeps a read's lookup and the
- * matching response's insert in the same array for every source/home
- * pair). Set cachePerPipe to model strictly per-pipe caches as in
- * Figure 8 - reads then use the pipe of their egress port and responses
- * the pipe of their ingress port, which requires rack-pair-symmetric
- * routing to be effective.
+ * Cache organization (CacheLayout): by default the switch's cache
+ * budget behaves as one shared cache (the middle-pipe layer plus the
+ * second crossbar make every pipe's SRAM reachable; with our
+ * per-destination deterministic routing this is the organization that
+ * keeps a read's lookup and the matching response's insert in the same
+ * array for every source/home pair). CacheLayout::PerPipe models
+ * strictly per-pipe caches as in Figure 8 - reads then use the pipe of
+ * their egress port and responses the pipe of their ingress port, which
+ * requires rack-pair-symmetric routing to be effective.
+ * CacheLayout::PerTenant gives each concurrent job an equal slice.
  *
  * Cache gating (the cache stores only properties fetched from remote
  * racks, for sharing within the local rack):
@@ -49,6 +50,21 @@
 
 namespace netsparse {
 
+/** How a ToR splits its Property Cache budget (see file comment). */
+enum class CacheLayout
+{
+    /** One array for the whole budget. */
+    Shared,
+    /** One slice per middle pipe (Figure 8). */
+    PerPipe,
+    /**
+     * One slice of totalBytes / numTenants per tenant (isolation)
+     * instead of one shared array (statistical multiplexing). With one
+     * tenant the single slice is the shared array.
+     */
+    PerTenant,
+};
+
 /** Static switch parameters. */
 struct SwitchConfig
 {
@@ -56,15 +72,11 @@ struct SwitchConfig
     Tick pipelineLatency = 300 * ticks::ns;
     /** True for ToR switches carrying the NetSparse extensions. */
     bool netsparseEnabled = false;
-    /**
-     * Per-middle-pipe concatenator settings (delay in ticks); its proto
-     * is also the wire protocol of the fair-queueing lanes.
-     */
+    /** Per-middle-pipe concatenator settings (delay in ticks). */
     ConcatConfig concat;
     /** Whole-switch Property Cache budget. */
     PropertyCacheConfig cache;
-    /** Split the cache per middle pipe (Figure 8) vs one shared array. */
-    bool cachePerPipe = false;
+    CacheLayout cacheLayout = CacheLayout::Shared;
     /**
      * Verify response checksums before Property Cache insertion and
      * reject mismatches (cache poisoning protection). Enabled by the
@@ -73,20 +85,13 @@ struct SwitchConfig
      */
     bool verifyResponses = false;
     /**
-     * Concurrent tenants (jobs) sharing this switch. More than one
-     * tenant-qualifies every Property Cache key (the same idx names
-     * different data per tenant) and sizes the fair-queueing lanes and
-     * per-tenant counters. 1 (the default) keeps the single-job fast
-     * path - and its stats document - untouched.
+     * Concurrent tenants (jobs) sharing this switch, numbered
+     * 0..numTenants-1 on their PRs and packets. Sizes the fair-queueing
+     * lanes and, above 1, the per-tenant counters. Every Property Cache
+     * key is tenant-qualified (the same idx names different data per
+     * tenant); tenant 0's keys are the bare idxs.
      */
     std::uint32_t numTenants = 1;
-    /**
-     * Partition the cache budget into per-tenant slices of
-     * totalBytes / numTenants (isolation) instead of one shared array
-     * (statistical multiplexing). Requires numTenants > 1; mutually
-     * exclusive with cachePerPipe.
-     */
-    bool tenantCachePartitioned = false;
     /**
      * Deficit-round-robin fair queueing at the output ports, one lane
      * per tenant plus one for raw background traffic, quantum = MTU.
@@ -190,21 +195,16 @@ class Switch : public PacketSink
     PropertyCache &cacheFor(const PropertyRequest &pr,
                             std::uint32_t pipe);
     /** Tenant-qualified Property Cache key (see SwitchConfig). */
-    PropIdx
-    cacheKey(const PropertyRequest &pr) const
+    static PropIdx
+    cacheKey(const PropertyRequest &pr)
     {
-        if (cfg_.numTenants <= 1)
-            return pr.idx;
         return pr.idx | (static_cast<PropIdx>(pr.tenant) << 40);
     }
     /** Fair-queueing lane of @p pkt (tenants, then raw traffic). */
     std::uint32_t
     laneOf(const Packet &pkt) const
     {
-        if (pkt.rawBytes)
-            return cfg_.numTenants;
-        return pkt.tenant < cfg_.numTenants ? pkt.tenant
-                                            : cfg_.numTenants - 1;
+        return pkt.rawBytes ? cfg_.numTenants : pkt.tenant;
     }
     /** One DRR arbitration step on output port @p p. */
     void drainPort(std::uint32_t p);

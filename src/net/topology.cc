@@ -34,7 +34,6 @@ Topology::leafSpine(std::uint32_t racks, std::uint32_t nodes_per_rack,
     Topology t;
     t.name_ = "leaf-spine";
     t.numNodes_ = racks * nodes_per_rack;
-    t.nodesPerTor_ = nodes_per_rack;
     std::uint32_t num_switches = racks + (racks > 1 ? spines : 0);
     t.ports_.resize(num_switches);
     t.torFlag_.assign(num_switches, false);
@@ -66,7 +65,6 @@ Topology::hyperX(std::uint32_t dx, std::uint32_t dy, std::uint32_t dz,
     t.name_ = "hyperx";
     std::uint32_t num_switches = dx * dy * dz;
     t.numNodes_ = num_switches * hosts_per_switch;
-    t.nodesPerTor_ = hosts_per_switch;
     t.ports_.resize(num_switches);
     t.torFlag_.assign(num_switches, false);
     t.hostSwitch_.resize(t.numNodes_);
@@ -108,7 +106,6 @@ Topology::dragonfly(std::uint32_t groups, std::uint32_t per_group,
     t.name_ = "dragonfly";
     std::uint32_t num_switches = groups * per_group;
     t.numNodes_ = num_switches * hosts_per_switch;
-    t.nodesPerTor_ = hosts_per_switch;
     t.ports_.resize(num_switches);
     t.torFlag_.assign(num_switches, false);
     t.hostSwitch_.resize(t.numNodes_);

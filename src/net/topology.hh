@@ -108,9 +108,6 @@ class Topology
     /** Human-readable topology name. */
     const std::string &name() const { return name_; }
 
-    /** Nodes attached to the same switch as @p n (including @p n). */
-    std::uint32_t nodesPerTor() const { return nodesPerTor_; }
-
     /** Number of switches with hosts attached (= racks). */
     std::uint32_t numTors() const;
 
@@ -134,7 +131,6 @@ class Topology
 
     std::string name_;
     std::uint32_t numNodes_ = 0;
-    std::uint32_t nodesPerTor_ = 0;
     std::vector<SwitchId> hostSwitch_;
     std::vector<std::uint32_t> hostPort_;
     std::vector<std::vector<PortPeer>> ports_;

@@ -57,20 +57,40 @@ ClusterSim::runGather(GatherWorkload &&work, std::uint32_t k)
 }
 
 void
+GatherRunResult::exportSummary(StatRegistry &reg,
+                               const std::string &prefix) const
+{
+    reg.set(prefix + ".commTicks", static_cast<double>(commTicks));
+    reg.set(prefix + ".tailNode", static_cast<double>(tailNode));
+    reg.set(prefix + ".avgPrsPerPacket", avgPrsPerPacket);
+    reg.set(prefix + ".prsServedByCache",
+            static_cast<double>(prsServedByCache));
+    reg.set(prefix + ".tailGoodput", tailGoodput);
+    reg.set(prefix + ".tailLineUtil", tailLineUtil);
+    double prs = 0, filtered = 0, coalesced = 0, idxs = 0;
+    for (const NodeRunStats &st : nodes) {
+        prs += static_cast<double>(st.prsIssued);
+        filtered += static_cast<double>(st.filtered);
+        coalesced += static_cast<double>(st.coalesced);
+        idxs += static_cast<double>(st.idxsProcessed);
+    }
+    reg.set(prefix + ".prsIssued", prs);
+    reg.set(prefix + ".filtered", filtered);
+    reg.set(prefix + ".coalesced", coalesced);
+    reg.set(prefix + ".idxsProcessed", idxs);
+    // Distribution of node finish times (load imbalance, Figure 19).
+    reg.setHistogram(prefix + ".finishTimeNs", finishTimeHistogram());
+}
+
+void
 GatherRunResult::exportStats(StatRegistry &reg) const
 {
-    reg.set("cluster.commTicks", static_cast<double>(commTicks));
-    reg.set("cluster.tailNode", static_cast<double>(tailNode));
+    exportSummary(reg, "cluster");
     reg.set("cluster.totalWireBytes",
             static_cast<double>(totalWireBytes));
-    reg.set("cluster.avgPrsPerPacket", avgPrsPerPacket);
     reg.set("cluster.cacheLookups", static_cast<double>(cacheLookups));
     reg.set("cluster.cacheHits", static_cast<double>(cacheHits));
     reg.set("cluster.cacheHitRate", cacheHitRate());
-    reg.set("cluster.prsServedByCache",
-            static_cast<double>(prsServedByCache));
-    reg.set("cluster.tailGoodput", tailGoodput);
-    reg.set("cluster.tailLineUtil", tailLineUtil);
 
     // Resilience keys, gated on their subsystems so a lossless,
     // retry-off run exports the exact pre-resilience document.
@@ -123,7 +143,6 @@ GatherRunResult::exportStats(StatRegistry &reg) const
                 static_cast<double>(degradedTicks));
     }
 
-    double prs = 0, filtered = 0, coalesced = 0, idxs = 0;
     for (std::size_t n = 0; n < nodes.size(); ++n) {
         const NodeRunStats &st = nodes[n];
         std::string prefix = "node" + std::to_string(n) + ".";
@@ -135,18 +154,7 @@ GatherRunResult::exportStats(StatRegistry &reg) const
         reg.set(prefix + "fcRate", st.fcRate());
         reg.set(prefix + "rxBytes", static_cast<double>(st.rxBytes));
         reg.set(prefix + "rxPackets", static_cast<double>(st.rxPackets));
-        prs += static_cast<double>(st.prsIssued);
-        filtered += static_cast<double>(st.filtered);
-        coalesced += static_cast<double>(st.coalesced);
-        idxs += static_cast<double>(st.idxsProcessed);
     }
-    reg.set("cluster.prsIssued", prs);
-    reg.set("cluster.filtered", filtered);
-    reg.set("cluster.coalesced", coalesced);
-    reg.set("cluster.idxsProcessed", idxs);
-
-    // Distribution of node finish times (load imbalance, Figure 19).
-    reg.setHistogram("cluster.finishTimeNs", finishTimeHistogram());
 }
 
 Histogram

@@ -67,17 +67,19 @@ struct ClusterConfig
     std::uint32_t nicConcatDelayCycles = 500;    // at 2.2 GHz
     std::uint64_t propertyCacheBytes = 32ull << 20; // per ToR switch
     PropertyCacheConfig cacheGeometry;              // sizes filled below
-    /** Strictly per-pipe caches (Figure 8) vs one shared array. */
-    bool cachePerPipe = false;
     /**
-     * Multi-tenant QoS (runtime/job_scheduler.hh). fairQueue arms
-     * deficit-round-robin per-tenant lanes at every switch output
-     * port; tenantCachePartitioned slices each ToR cache budget into
-     * equal per-tenant partitions (only meaningful with > 1 job).
-     * Both default off: FIFO output queues and one shared array.
+     * How each ToR splits its cache budget (net/switch.hh): one shared
+     * array (default), strictly per-pipe slices (Figure 8), or equal
+     * per-tenant slices (multi-tenant QoS; with one job the single
+     * slice is the shared array).
+     */
+    CacheLayout cacheLayout = CacheLayout::Shared;
+    /**
+     * Multi-tenant QoS (runtime/job_scheduler.hh): deficit-round-robin
+     * per-tenant lanes at every switch output port. Default off: FIFO
+     * output queues.
      */
     bool fairQueue = false;
-    bool tenantCachePartitioned = false;
 
     FeatureSet features;
     /** Use the Section 7.2 virtualized-CQ concatenators. */
@@ -85,8 +87,8 @@ struct ClusterConfig
 
     /**
      * Batched event execution (docs/scaling.md): turns on link
-     * delivery trains (LinkConfig::batched) and batched server
-     * reads (SnicConfig::batchedServerReads) across the cluster.
+     * delivery trains and batched server reads (the batching
+     * arguments of the Link and Snic constructors) across the cluster.
      * Deterministic and shard-invariant, but a coarser timing model
      * than the default per-event execution: deliveries backed up on a
      * wire may land up to the train hold window late, and a packet's
@@ -256,6 +258,14 @@ struct GatherRunResult
      * under "cluster.*" aggregates and "nodeN.*" per-node values.
      */
     void exportStats(StatRegistry &reg) const;
+
+    /**
+     * The job summary under "<prefix>.": completion and tail, packing,
+     * cache serves and the work counters summed over nodes. The
+     * single-job document writes it under "cluster", a multi-job one
+     * under "cluster.tenant<t>" per job.
+     */
+    void exportSummary(StatRegistry &reg, const std::string &prefix) const;
 };
 
 /**

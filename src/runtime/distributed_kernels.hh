@@ -38,16 +38,6 @@ struct DistributedKernelResult
     std::vector<float> output;
     /** Communication results, one per executed iteration. */
     std::vector<GatherRunResult> iterations;
-
-    /** Total simulated communication time across iterations. */
-    Tick
-    totalCommTicks() const
-    {
-        Tick t = 0;
-        for (const auto &it : iterations)
-            t += it.commTicks;
-        return t;
-    }
 };
 
 /**

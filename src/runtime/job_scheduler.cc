@@ -62,37 +62,21 @@ void
 exportTenantStats(StatRegistry &reg, const std::string &prefix,
                   const GatherRunResult &r, Tick start_delay)
 {
-    reg.set(prefix + ".commTicks", static_cast<double>(r.commTicks));
+    r.exportSummary(reg, prefix);
     Tick duration =
         r.commTicks > start_delay ? r.commTicks - start_delay : 0;
     reg.set(prefix + ".durationTicks", static_cast<double>(duration));
     reg.set(prefix + ".startDelayTicks",
             static_cast<double>(start_delay));
-    reg.set(prefix + ".tailNode", static_cast<double>(r.tailNode));
-    reg.set(prefix + ".avgPrsPerPacket", r.avgPrsPerPacket);
-    reg.set(prefix + ".prsServedByCache",
-            static_cast<double>(r.prsServedByCache));
-    reg.set(prefix + ".tailGoodput", r.tailGoodput);
-    reg.set(prefix + ".tailLineUtil", r.tailLineUtil);
-    double prs = 0, filtered = 0, coalesced = 0, idxs = 0;
     double rx_bytes = 0, rx_payload = 0, rx_packets = 0;
     for (const NodeRunStats &st : r.nodes) {
-        prs += static_cast<double>(st.prsIssued);
-        filtered += static_cast<double>(st.filtered);
-        coalesced += static_cast<double>(st.coalesced);
-        idxs += static_cast<double>(st.idxsProcessed);
         rx_bytes += static_cast<double>(st.rxBytes);
         rx_payload += static_cast<double>(st.rxPayloadBytes);
         rx_packets += static_cast<double>(st.rxPackets);
     }
-    reg.set(prefix + ".prsIssued", prs);
-    reg.set(prefix + ".filtered", filtered);
-    reg.set(prefix + ".coalesced", coalesced);
-    reg.set(prefix + ".idxsProcessed", idxs);
     reg.set(prefix + ".rxBytes", rx_bytes);
     reg.set(prefix + ".rxPayloadBytes", rx_payload);
     reg.set(prefix + ".rxPackets", rx_packets);
-    reg.setHistogram(prefix + ".finishTimeNs", r.finishTimeHistogram());
 }
 
 Topology
@@ -212,9 +196,9 @@ struct Fabric
             std::string name, std::uint32_t src_shard,
             std::uint32_t dst_shard)
     {
-        links.push_back(std::make_unique<Link>(*queues[src_shard], lc,
-                                               cfg.proto, sink, sink_port,
-                                               std::move(name)));
+        links.push_back(std::make_unique<Link>(
+            *queues[src_shard], lc, cfg.proto, sink, sink_port,
+            std::move(name), cfg.eventBatching));
         Link &link = *links.back();
         link.setOrderingId(static_cast<std::uint32_t>(links.size() - 1));
         linkShards.push_back(src_shard);
@@ -262,22 +246,20 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
     // --- SNICs: one virtual slice per (node, tenant) ---
     // Each tenant keeps its own RIG units, Idx Filter and retry state;
     // the node's physical NIC egress link is shared below.
-    SnicConfig snic_cfg = cfg.snic;
-    snic_cfg.rigUnit.filterEnabled = cfg.features.filter;
-    snic_cfg.rigUnit.coalesceEnabled = cfg.features.coalesce;
     ConcatConfig nic_concat;
-    nic_concat.proto = cfg.proto;
     nic_concat.enabled = cfg.features.concatNic;
     nic_concat.delay =
-        Clock(snic_cfg.rigUnit.clockHz).cycles(cfg.nicConcatDelayCycles);
+        Clock(RigUnitConfig::clockHz).cycles(cfg.nicConcatDelayCycles);
     nic_concat.virtualized = cfg.virtualizedCqs;
     for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
         f.demuxes.push_back(std::make_unique<TenantDemux>());
         for (std::uint32_t t = 0; t < f.T; ++t) {
             f.snics.push_back(std::make_unique<Snic>(
-                f.nodeQueue(nid), snic_cfg, nic_concat, nid,
+                f.nodeQueue(nid), cfg.snic, nic_concat, nid,
                 static_cast<std::uint16_t>(t), jobs[t].work.part,
-                jobs[t].work.numIdxs, f.sliceName(nid, t) + ".snic"));
+                jobs[t].work.numIdxs, f.sliceName(nid, t) + ".snic",
+                cfg.features.filter, cfg.features.coalesce,
+                cfg.eventBatching));
             f.demuxes.back()->attach(f.snics.back().get());
         }
     }
@@ -291,7 +273,6 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
         sw_cfg.netsparseEnabled =
             f.topo.isTor(sid) &&
             (cfg.features.concatSwitch || cfg.features.switchCache);
-        sw_cfg.concat.proto = cfg.proto;
         sw_cfg.concat.enabled = cfg.features.concatSwitch;
         sw_cfg.concat.delay =
             switch_clock.cycles(cfg.switchConcatDelayCycles);
@@ -302,10 +283,8 @@ buildComponents(Fabric &f, std::vector<JobSpec> &jobs,
         sw_cfg.cache = cfg.cacheGeometry;
         sw_cfg.cache.totalBytes =
             cfg.features.switchCache ? cfg.propertyCacheBytes : 0;
-        sw_cfg.cachePerPipe = cfg.cachePerPipe;
+        sw_cfg.cacheLayout = cfg.cacheLayout;
         sw_cfg.numTenants = f.T;
-        sw_cfg.tenantCachePartitioned =
-            cfg.tenantCachePartitioned && f.T > 1;
         sw_cfg.fairQueue = cfg.fairQueue;
         // Corrupt responses must not poison the rack caches.
         sw_cfg.verifyResponses = cfg.faults.enabled();
@@ -836,10 +815,6 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
 
 JobScheduler::JobScheduler(ClusterConfig cfg) : cfg_(std::move(cfg))
 {
-    if (cfg_.eventBatching) {
-        cfg_.link.batched = true;
-        cfg_.snic.batchedServerReads = true;
-    }
     // A lossy fabric needs the reliable-PR layer to terminate; the
     // user may also enable it explicitly on a lossless one.
     if (cfg_.faults.enabled())

@@ -109,14 +109,14 @@ class Bandwidth
 {
   public:
     /** Construct from bits per second. */
-    static Bandwidth
+    static constexpr Bandwidth
     fromGbps(double gbps)
     {
         return Bandwidth(gbps * 1e9 / 8.0);
     }
 
     /** Construct from bytes per second. */
-    static Bandwidth
+    static constexpr Bandwidth
     fromGBps(double gbytes_per_s)
     {
         return Bandwidth(gbytes_per_s * 1e9);
@@ -137,7 +137,7 @@ class Bandwidth
     double bytesPerPs() const { return bytesPerPs_; }
 
   private:
-    explicit Bandwidth(double bytes_per_s)
+    explicit constexpr Bandwidth(double bytes_per_s)
         : bytesPerPs_(bytes_per_s / 1e12)
     {}
 

@@ -19,7 +19,6 @@ namespace netsparse {
 /** PCIe parameters. */
 struct PcieConfig
 {
-    Bandwidth bandwidth = Bandwidth::fromGBps(256.0);
     Tick latency = 200 * ticks::ns;
 };
 
@@ -27,6 +26,9 @@ struct PcieConfig
 class PcieModel
 {
   public:
+    /** Link rate (Table 5: Gen6). */
+    static constexpr Bandwidth kBandwidth = Bandwidth::fromGBps(256.0);
+
     PcieModel(EventQueue &eq, PcieConfig cfg) : eq_(eq), cfg_(cfg) {}
 
     /**
@@ -37,24 +39,17 @@ class PcieModel
     transfer(std::uint64_t bytes)
     {
         Tick start = std::max(eq_.now(), busyUntil_);
-        busyUntil_ = start + cfg_.bandwidth.serialize(bytes);
-        bytesMoved_ += bytes;
-        ++transfers_;
+        busyUntil_ = start + kBandwidth.serialize(bytes);
         return busyUntil_ + cfg_.latency;
     }
 
     /** One-way latency only (e.g. an MMIO doorbell write). */
     Tick latency() const { return cfg_.latency; }
 
-    std::uint64_t bytesMoved() const { return bytesMoved_; }
-    std::uint64_t transfers() const { return transfers_; }
-
   private:
     EventQueue &eq_;
     PcieConfig cfg_;
     Tick busyUntil_ = 0;
-    std::uint64_t bytesMoved_ = 0;
-    std::uint64_t transfers_ = 0;
 };
 
 } // namespace netsparse

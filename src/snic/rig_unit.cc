@@ -12,7 +12,7 @@ namespace netsparse {
 
 RigClientUnit::RigClientUnit(EventQueue &eq, const RigUnitConfig &cfg,
                              SnicContext &ctx, std::uint16_t tid)
-    : eq_(eq), cfg_(cfg), ctx_(ctx), tid_(tid), clock_(cfg.clockHz),
+    : eq_(eq), cfg_(cfg), ctx_(ctx), tid_(tid), clock_(RigUnitConfig::clockHz),
       pending_(cfg.pendingCapacity)
 {
     ns_assert(cfg_.retry.maxRetries <= 0xFF, "maxRetries ",
@@ -115,6 +115,8 @@ RigClientUnit::processChunk()
     const NodeId self = ctx_.selfNode();
     const Partition1D &owners = ctx_.owners();
     IdxFilter &filter = ctx_.idxFilter();
+    const bool filtering = ctx_.filtering();
+    const bool coalescing = ctx_.coalescing();
     while (consumed < kChunkPerEvent && nextIdx_ < cmd_.count) {
         PropIdx idx = cmd_.idxs[nextIdx_];
         ++consumed; // one pipeline slot per examined idx
@@ -126,13 +128,13 @@ RigClientUnit::processChunk()
             ++nextIdx_;
             continue;
         }
-        if (cfg_.filterEnabled && filter.test(idx)) {
+        if (filtering && filter.test(idx)) {
             ++stats_.filtered;
             ++stats_.idxsProcessed;
             ++nextIdx_;
             continue;
         }
-        if (cfg_.coalesceEnabled && pending_.contains(idx)) {
+        if (coalescing && pending_.contains(idx)) {
             pending_.addWaiter(idx);
             ++stats_.coalesced;
             ++stats_.idxsProcessed;
@@ -281,7 +283,7 @@ RigClientUnit::onResponse(const PropertyRequest &pr)
     // so other units stop requesting it.
     lastWriteDone_ =
         std::max(lastWriteDone_, ctx_.pcie().transfer(pr.payloadBytes));
-    if (cfg_.filterEnabled)
+    if (ctx_.filtering())
         ctx_.idxFilter().set(pr.idx);
 
     ns_assert(outstanding_ > 0, "response with nothing outstanding");
@@ -429,7 +431,7 @@ RigClientUnit::finish(bool success)
 
 RigServerUnit::RigServerUnit(EventQueue &eq, const RigUnitConfig &cfg,
                              SnicContext &ctx, std::uint16_t tid)
-    : eq_(eq), cfg_(cfg), ctx_(ctx), tid_(tid), clock_(cfg.clockHz)
+    : eq_(eq), cfg_(cfg), ctx_(ctx), tid_(tid), clock_(RigUnitConfig::clockHz)
 {}
 
 Tick

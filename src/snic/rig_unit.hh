@@ -70,13 +70,9 @@ struct RetryPolicy
 struct RigUnitConfig
 {
     /** SNIC clock. */
-    double clockHz = 2.2e9;
+    static constexpr double clockHz = 2.2e9;
     /** Pending PR Table entries. */
     std::uint32_t pendingCapacity = 256;
-    /** Drop PRs whose Idx Filter bit is set. */
-    bool filterEnabled = true;
-    /** Drop PRs matching an outstanding entry of this unit. */
-    bool coalesceEnabled = true;
     /** How long to wait before re-checking a backpressured Tx path. */
     Tick txRetryInterval = 100 * ticks::ns;
     /** Host DRAM access latency seen by server units. */
@@ -118,6 +114,13 @@ class SnicContext
      * every idx through it inline.
      */
     virtual const Partition1D &owners() const = 0;
+    /**
+     * The ablation switches (Table 8): drop PRs whose Idx Filter bit
+     * is set (filtering), and PRs matching an outstanding entry of the
+     * issuing unit (coalescing). Both on in the full design.
+     */
+    virtual bool filtering() const { return true; }
+    virtual bool coalescing() const { return true; }
     /** Hand a PR to the NIC transmit path. */
     virtual void sendPr(PropertyRequest &&pr, NodeId dest) = 0;
     /** True while the transmit buffer is too full to accept PRs. */

@@ -9,10 +9,12 @@ namespace netsparse {
 
 Snic::Snic(EventQueue &eq, SnicConfig cfg, ConcatConfig nic_concat,
            NodeId self, std::uint16_t tenant, Partition1D owners,
-           std::uint64_t num_idxs, std::string name)
-    : eq_(eq), cfg_(cfg), proto_(nic_concat.proto), self_(self),
-      tenant_(tenant), owners_(std::move(owners)), name_(std::move(name)),
-      filter_(num_idxs), pcie_(eq, cfg.pcie)
+           std::uint64_t num_idxs, std::string name, bool filter,
+           bool coalesce, bool batched_reads)
+    : eq_(eq), cfg_(cfg), self_(self), tenant_(tenant),
+      owners_(std::move(owners)), name_(std::move(name)),
+      filtering_(filter), coalescing_(coalesce),
+      batchedReads_(batched_reads), filter_(num_idxs), pcie_(eq, cfg.pcie)
 {
     ns_assert(cfg_.numRigUnits >= 2, "need at least 1 client + 1 server");
     std::uint32_t num_clients = cfg_.numRigUnits / 2;
@@ -103,21 +105,20 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
 {
     (void)in_port;
     ++rxPackets_;
-    rxBytes_ += pkt.wireBytes(proto_);
+    rxBytes_ += pkt.wireBytes();
     rxPayloadBytes_ += pkt.payloadBytes();
 
     NS_TRACE(eq_, tw.instant(
         tw.track(name_), "rx", eq_.now(),
-        traceArgs({{"bytes", static_cast<double>(
-                                 pkt.wireBytes(proto_))},
+        traceArgs({{"bytes", static_cast<double>(pkt.wireBytes())},
                    {"prs", static_cast<double>(pkt.prs.size())}})));
 
     std::vector<PropertyRequest> prs = deconcatenate(std::move(pkt));
-    // Under batchedServerReads every read of the packet is prepared
-    // here, and all its responses leave with one event at the last
-    // fetch completion. Fetch ticks are nondecreasing across the packet
-    // (the shared PCIe busy-until chain), so no response leaves early.
-    const bool batched = cfg_.batchedServerReads;
+    // With batched reads every read of the packet is prepared here,
+    // and all its responses leave with one event at the last fetch
+    // completion. Fetch ticks are nondecreasing across the packet (the
+    // shared PCIe busy-until chain), so no response leaves early.
+    const bool batched = batchedReads_;
     std::vector<PropertyRequest> responses;
     if (batched)
         responses = acquirePrBuffer(prs.size());

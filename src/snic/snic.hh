@@ -26,7 +26,9 @@ namespace netsparse {
 /**
  * Static SNIC parameters (Table 5 defaults), shared by every slice of a
  * cluster. What differs per slice - its node, tenant, owner partition
- * and NIC concatenation point - is a Snic constructor argument.
+ * and NIC concatenation point - and what the cluster derives from its
+ * own settings - the ablation switches and read batching - are Snic
+ * constructor arguments.
  */
 struct SnicConfig
 {
@@ -34,18 +36,6 @@ struct SnicConfig
     std::uint32_t numRigUnits = 32;
     RigUnitConfig rigUnit;
     PcieConfig pcie;
-    /**
-     * Send all response PRs of one received packet's reads with a
-     * single event at the last fetch completion (docs/scaling.md),
-     * instead of one event per read. The per-PR pipeline, PCIe and
-     * memory accounting are unchanged; responses of a packet leave
-     * together at the latest of their fetch ticks - a skew bounded by
-     * the packet's own PCIe serialization - and in packet order, so
-     * the result stays deterministic and shard-invariant. Off by
-     * default: the timing-exact model sends each response at its own
-     * fetch tick.
-     */
-    bool batchedServerReads = false;
 };
 
 /**
@@ -56,16 +46,29 @@ class Snic : public PacketSink, public SnicContext
 {
   public:
     /**
-     * @param nic_concat the NIC-level concatenation point; its proto is
-     *        the wire protocol the SNIC accounts received bytes in.
+     * @param nic_concat the NIC-level concatenation point.
      * @param tenant the slice's tenant (job) id, stamped on every PR it
      *        issues (0 on single-job runs).
      * @param owners the Destination Solver: the job's row partition.
      * @param num_idxs Idx Filter width (columns of the sparse matrix).
+     * @param filter, coalesce the ablation switches the RIG clients
+     *        read (SnicContext::filtering, coalescing).
+     * @param batched_reads send all response PRs of one received
+     *        packet's reads with a single event at the last fetch
+     *        completion (docs/scaling.md), instead of one event per
+     *        read; on under ClusterConfig::eventBatching. The per-PR
+     *        pipeline, PCIe and memory accounting are unchanged;
+     *        responses of a packet leave together at the latest of
+     *        their fetch ticks - a skew bounded by the packet's own
+     *        PCIe serialization - and in packet order, so the result
+     *        stays deterministic and shard-invariant. Off by default:
+     *        the timing-exact model sends each response at its own
+     *        fetch tick.
      */
     Snic(EventQueue &eq, SnicConfig cfg, ConcatConfig nic_concat,
          NodeId self, std::uint16_t tenant, Partition1D owners,
-         std::uint64_t num_idxs, std::string name);
+         std::uint64_t num_idxs, std::string name, bool filter = true,
+         bool coalesce = true, bool batched_reads = false);
 
     /** Attach the egress link toward this node's ToR switch. */
     void attachEgress(Link *egress) { egress_ = egress; }
@@ -98,6 +101,8 @@ class Snic : public PacketSink, public SnicContext
     NodeId selfNode() const override { return self_; }
     std::uint16_t tenant() const override { return tenant_; }
     const Partition1D &owners() const override { return owners_; }
+    bool filtering() const override { return filtering_; }
+    bool coalescing() const override { return coalescing_; }
     void sendPr(PropertyRequest &&pr, NodeId dest) override;
     bool txBackpressured() const override;
     IdxFilter &idxFilter() override { return filter_; }
@@ -154,11 +159,13 @@ class Snic : public PacketSink, public SnicContext
 
     EventQueue &eq_;
     SnicConfig cfg_;
-    ProtocolParams proto_;
     NodeId self_;
     std::uint16_t tenant_;
     Partition1D owners_;
     std::string name_;
+    bool filtering_;
+    bool coalescing_;
+    bool batchedReads_;
 
     IdxFilter filter_;
     PcieModel pcie_;

@@ -69,13 +69,6 @@ class Partition1D
         return ownerOfSearch(idx);
     }
 
-    /** Offset of @p idx within its owner's range. */
-    std::uint32_t
-    localIndex(std::uint32_t idx) const
-    {
-        return idx - boundaries_[ownerOf(idx)];
-    }
-
     /** Total index count covered by the partition. */
     std::uint32_t total() const { return boundaries_.back(); }
 

@@ -67,7 +67,7 @@ TEST(Concatenator, FillsToMtuThenFlushes)
     EXPECT_EQ(h.out[0].prs.size(), 79u);
     EXPECT_TRUE(h.out[0].concatenated);
     EXPECT_EQ(h.out[0].dest, 5u);
-    EXPECT_LE(h.out[0].wireBytes(cfg.proto), cfg.proto.mtuBytes);
+    EXPECT_LE(h.out[0].wireBytes(), cfg.proto.mtuBytes);
     EXPECT_EQ(cc.flushesByFill(), 1u);
     EXPECT_EQ(cc.pendingPrs(), 0u);
 }
@@ -135,8 +135,8 @@ TEST(Concatenator, DisabledModeEmitsSoloPackets)
     ASSERT_EQ(h.out.size(), 2u);
     EXPECT_FALSE(h.out[0].concatenated);
     // Solo read packet: 50 + 10 + 18 = 78 bytes.
-    EXPECT_EQ(h.out[0].wireBytes(cfg.proto), 78u);
-    EXPECT_EQ(h.out[1].wireBytes(cfg.proto), 142u);
+    EXPECT_EQ(h.out[0].wireBytes(), 78u);
+    EXPECT_EQ(h.out[1].wireBytes(), 142u);
     EXPECT_TRUE(h.eq.empty()); // no timers armed
 }
 
@@ -167,7 +167,7 @@ TEST(Concatenator, LargeResponsesPackByPayload)
     EXPECT_EQ(h.out[1].prs.size(), 2u);
     EXPECT_EQ(h.out[2].prs.size(), 1u);
     for (const auto &p : h.out)
-        EXPECT_LE(p.wireBytes(cfg.proto), cfg.proto.mtuBytes);
+        EXPECT_LE(p.wireBytes(), cfg.proto.mtuBytes);
 }
 
 TEST(Concatenator, OversizedPrPanics)
@@ -305,7 +305,7 @@ TEST(Concatenator, RandomStreamNeverExceedsMtu)
     h.eq.run();
     std::size_t total = 0;
     for (const auto &p : h.out) {
-        EXPECT_LE(p.wireBytes(cfg.proto), cfg.proto.mtuBytes);
+        EXPECT_LE(p.wireBytes(), cfg.proto.mtuBytes);
         for (const auto &pr : p.prs) {
             EXPECT_EQ(pr.type, p.type);
         }

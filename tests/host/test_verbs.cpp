@@ -122,7 +122,12 @@ TEST(Verbs, PostSendFailsWhenAllUnitsBusy)
     // After completion, posting works again.
     EXPECT_TRUE(qp.postSend(wr));
     w.eq.run();
-    EXPECT_EQ(qp.cqDepth(), 3u);
+    // All three commands completed, and each left one completion.
+    IbvWc wc;
+    std::uint32_t completions = 0;
+    while (qp.pollCq(wc))
+        ++completions;
+    EXPECT_EQ(completions, 3u);
 }
 
 TEST(Verbs, CompletionHandlerFires)

@@ -62,9 +62,6 @@ TEST(DistributedKernels, MultiIterationChainsOutputs)
         ref = spmm(a, ref, k);
     EXPECT_EQ(r.output, ref);
     EXPECT_EQ(r.iterations.size(), iters);
-    EXPECT_EQ(r.totalCommTicks(), r.iterations[0].commTicks +
-                                      r.iterations[1].commTicks +
-                                      r.iterations[2].commTicks);
 }
 
 TEST(DistributedKernels, IterationsAreIndependentGathers)
@@ -124,7 +121,6 @@ TEST(DistributedKernels, FunctionalOnlyModeSkipsSimulation)
                          /*simulate=*/false);
     DistributedKernelResult r = exec.run(x, 2);
     EXPECT_TRUE(r.iterations.empty());
-    EXPECT_EQ(r.totalCommTicks(), 0u);
 
     std::vector<float> ref = spmm(a, spmm(a, x, k), k);
     EXPECT_EQ(r.output, ref);

@@ -279,7 +279,7 @@ TEST(Gather, PerPipeCacheModeSatisfiesInvariants)
     const std::uint32_t nodes = 16;
     Partition1D part = Partition1D::equalRows(m.rows, nodes);
     ClusterConfig cfg = smallCluster(nodes);
-    cfg.cachePerPipe = true;
+    cfg.cacheLayout = CacheLayout::PerPipe;
     ClusterSim sim(cfg);
     GatherRunResult r = sim.runGather(m, part, 16);
     checkInvariants(r, m, part);

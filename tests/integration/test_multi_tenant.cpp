@@ -4,9 +4,10 @@
  * traffic, fair queueing and partitioned caches produces byte-identical
  * stats and telemetry documents at 1, 2 and 4 shards; the documents
  * carry the cluster.tenant<t>.* schema; the FIFO vs fair-queueing
- * choice is a real behavioral knob, not a label; and one job sharing
- * the fabric with background traffic is credited with every cache
- * serve.
+ * choice is a real behavioral knob, not a label; one job sharing the
+ * fabric with background traffic is credited with every cache serve;
+ * and every cache layout, with one job and with two, gives documents
+ * independent of the shard count.
  */
 
 #include <gtest/gtest.h>
@@ -84,13 +85,36 @@ runCaptured(ClusterConfig cfg, bool telemetry = true)
     return out;
 }
 
+/**
+ * The stats and telemetry documents of the first @p jobs jobs of
+ * threeJobs under @p layout, without background traffic.
+ */
+std::string
+layoutDocuments(CacheLayout layout, std::uint32_t jobs,
+                std::uint32_t shards)
+{
+    StatsExport stats;
+    stats.setCollect(true);
+    StatsExport::Bind statsBind(stats);
+    TelemetrySink sink;
+    sink.setCollect(true);
+    TelemetrySink::Bind telemetryBind(sink);
+
+    ClusterConfig cfg = shardableCluster(shards);
+    cfg.cacheLayout = layout;
+    std::vector<JobSpec> specs = threeJobs();
+    specs.resize(jobs);
+    JobScheduler(cfg).run(std::move(specs));
+    return stats.toJson() + sink.toJson();
+}
+
 } // namespace
 
 TEST(MultiTenant, StatsAndTelemetryAreByteIdenticalAcrossShardCounts)
 {
     ClusterConfig cfg = shardableCluster(1);
     cfg.fairQueue = true;
-    cfg.tenantCachePartitioned = true;
+    cfg.cacheLayout = CacheLayout::PerTenant;
 
     CapturedRun seq = runCaptured(cfg);
     EXPECT_EQ(seq.result.simShards, 1u);
@@ -99,7 +123,7 @@ TEST(MultiTenant, StatsAndTelemetryAreByteIdenticalAcrossShardCounts)
     for (std::uint32_t shards : {2u, 4u}) {
         ClusterConfig pcfg = shardableCluster(shards);
         pcfg.fairQueue = true;
-        pcfg.tenantCachePartitioned = true;
+        pcfg.cacheLayout = CacheLayout::PerTenant;
         CapturedRun par = runCaptured(pcfg);
         EXPECT_EQ(par.result.simShards, shards);
         EXPECT_GT(par.result.epochs, 0u);
@@ -123,7 +147,7 @@ TEST(MultiTenant, DocumentCarriesTheTenantSchema)
 {
     ClusterConfig cfg = shardableCluster(1);
     cfg.fairQueue = true;
-    cfg.tenantCachePartitioned = true;
+    cfg.cacheLayout = CacheLayout::PerTenant;
     CapturedRun run = runCaptured(cfg);
 
     for (const char *key :
@@ -183,4 +207,36 @@ TEST(MultiTenant, SingleJobWithBackgroundOwnsTheCacheServes)
         JobScheduler(shardableCluster(1)).run(std::move(specs), bg);
     EXPECT_GT(mr.prsServedByCache, 0u);
     EXPECT_EQ(mr.jobs[0].prsServedByCache, mr.prsServedByCache);
+}
+
+TEST(MultiTenant, EveryCacheLayoutIsShardInvariantWithOneAndTwoJobs)
+{
+    // Each ToR has 4 host and 4 spine ports, so 2 middle pipes. The
+    // per-pipe layout exports its slices at any job count, the
+    // per-tenant one only with two tenants.
+    for (CacheLayout layout : {CacheLayout::Shared, CacheLayout::PerPipe,
+                               CacheLayout::PerTenant}) {
+        for (std::uint32_t jobs : {1u, 2u}) {
+            const int id = static_cast<int>(layout);
+            std::string seq = layoutDocuments(layout, jobs, 1);
+            EXPECT_EQ(layoutDocuments(layout, jobs, 2), seq)
+                << "layout " << id << ", " << jobs
+                << " jobs: documents diverged at 2 shards";
+            EXPECT_EQ(seq.find("tor0.pipe1.cache.hits") != std::string::npos,
+                      layout == CacheLayout::PerPipe)
+                << "layout " << id << ", " << jobs << " jobs";
+            EXPECT_EQ(
+                seq.find("tor0.tenant1.cache.hits") != std::string::npos,
+                layout == CacheLayout::PerTenant && jobs == 2)
+                << "layout " << id << ", " << jobs << " jobs";
+        }
+    }
+}
+
+TEST(MultiTenant, PerTenantCacheWithOneJobIsTheSharedCache)
+{
+    // One tenant's slice is the whole budget: the same document as the
+    // shared array, key for key.
+    EXPECT_EQ(layoutDocuments(CacheLayout::PerTenant, 1, 1),
+              layoutDocuments(CacheLayout::Shared, 1, 1));
 }

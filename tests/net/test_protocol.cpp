@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "net/link.hh"
@@ -11,6 +12,10 @@
 #include "snic/rig_unit.hh"
 
 using namespace netsparse;
+
+// The protocol is constants only: a config holding a ProtocolParams
+// carries no state with it.
+static_assert(std::is_empty_v<ProtocolParams>);
 
 namespace {
 
@@ -165,24 +170,22 @@ TEST(Protocol, PaperHeaderArithmetic)
 
 TEST(Protocol, ConcatenatedPacketWireBytes)
 {
-    ProtocolParams proto;
     Packet pkt;
     pkt.concatenated = true;
     pkt.type = PrType::Response;
     for (int i = 0; i < 5; ++i)
         pkt.prs.push_back(pr(PrType::Response, 64));
     // 62 + 5 * (18 + 64).
-    EXPECT_EQ(pkt.wireBytes(proto), 62u + 5u * 82u);
+    EXPECT_EQ(pkt.wireBytes(), 62u + 5u * 82u);
     EXPECT_EQ(pkt.payloadBytes(), 5u * 64u);
 }
 
 TEST(Protocol, SoloPacketWireBytes)
 {
-    ProtocolParams proto;
     Packet pkt;
     pkt.concatenated = false;
     pkt.prs.push_back(pr(PrType::Response, 512));
-    EXPECT_EQ(pkt.wireBytes(proto), 78u + 512u);
+    EXPECT_EQ(pkt.wireBytes(), 78u + 512u);
 }
 
 TEST(Protocol, ConcatenationBreaksEvenImmediately)

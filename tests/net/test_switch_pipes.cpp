@@ -76,7 +76,8 @@ struct MultiPipeHarness
     explicit MultiPipeHarness(bool per_pipe, bool verify = false)
     {
         cfg.netsparseEnabled = true;
-        cfg.cachePerPipe = per_pipe;
+        cfg.cacheLayout =
+            per_pipe ? CacheLayout::PerPipe : CacheLayout::Shared;
         cfg.verifyResponses = verify;
         cfg.concat.delay = 100;
         cfg.cache.totalBytes = 1 << 20;

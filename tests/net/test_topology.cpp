@@ -13,7 +13,6 @@ TEST(Topology, LeafSpineShape)
     Topology t = Topology::leafSpine(8, 16, 16);
     EXPECT_EQ(t.numNodes(), 128u);
     EXPECT_EQ(t.numSwitches(), 24u);
-    EXPECT_EQ(t.nodesPerTor(), 16u);
     for (SwitchId s = 0; s < 8; ++s) {
         EXPECT_TRUE(t.isTor(s));
         EXPECT_EQ(t.ports(s).size(), 32u); // 16 hosts + 16 spines

@@ -124,7 +124,7 @@ TEST(Snic, RxCountersTrackTraffic)
 {
     SnicHarness h;
     Packet p = readPacket({4, 8});
-    std::uint64_t wire_bytes = p.wireBytes(h.proto);
+    std::uint64_t wire_bytes = p.wireBytes();
     h.snic->receivePacket(std::move(p), 0);
     h.eq.run();
     EXPECT_EQ(h.snic->rxPackets(), 1u);
