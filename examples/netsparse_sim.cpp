@@ -29,9 +29,10 @@
  *     --batched-events     coarser event batching (delivery trains +
  *                          batched server reads); the paper-scale
  *                          preset. Figure reproductions leave it off.
- *     --memory-stats       export per-shard arena accounting under
- *                          cluster.memory.* in the stats registry
- *                          (host diagnostic; off by default)
+ *     --memory-stats       export the host memory the CQ buffers hold
+ *                          as cluster.memory.concatHeldBytes in the
+ *                          stats registry (host diagnostic; off by
+ *                          default)
  *     --faults SPEC        fault injection, e.g.
  *                          drop:1e-4,corrupt:1e-5,down:1e-6,downUs:5,
  *                          degrade:1e-5,degradeUs:20,degradeFactor:0.25,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -28,7 +27,6 @@ Concatenator::emitSolo(PropertyRequest &&pr, NodeId dest)
     pkt.type = pr.type;
     pkt.tenant = pr.tenant;
     pkt.concatenated = false;
-    pkt.prs = acquirePrBuffer(1);
     pkt.prs.push_back(std::move(pr));
     ++packetsEmitted_;
     prsPerPacket_.sample(1.0);
@@ -167,12 +165,13 @@ Concatenator::flush(Cq &cq, const char *reason)
     pkt.type = cq.type;
     pkt.tenant = cq.prs.front().tenant;
     pkt.concatenated = true;
-    // Steal cq.prs wholesale and hand the CQ a recycled buffer: packets
-    // die at a deconcatenation point on this same thread, so the pool
-    // feeds grown-to-size buffers back and steady-state refills never
-    // reallocate - without copying a packet's worth of PRs per flush.
+    // Steal cq.prs wholesale (no copy of a packet's worth of PRs) and
+    // leave the CQ an empty buffer sized to this packet, so a CQ holds
+    // the capacity its own traffic needs and refills to the same size
+    // never reallocate.
     pkt.prs = std::move(cq.prs);
-    cq.prs = acquirePrBuffer(pkt.prs.size());
+    cq.prs.clear();
+    cq.prs.reserve(pkt.prs.size());
 
     // Waits are monotone within a CQ (pushes are time-ordered), so the
     // summary yields the per-PR statistics exactly: integer arithmetic,
@@ -197,7 +196,6 @@ Concatenator::flush(Cq &cq, const char *reason)
     if (cfg_.virtualized)
         blocksInUse_ -= physicalBlocks(cq.bytes);
 
-    cq.prs.clear();
     cq.enterSum = 0;
     cq.bytes = 0;
 
@@ -247,16 +245,10 @@ deconcatenate(Packet &&pkt)
     return std::move(pkt.prs);
 }
 
-std::vector<PropertyRequest>
-acquirePrBuffer(std::size_t reserve)
-{
-    return BufferArena<PropertyRequest>::local().acquire(reserve);
-}
-
 void
 recyclePrBuffer(std::vector<PropertyRequest> &&buf)
 {
-    BufferArena<PropertyRequest>::local().recycle(std::move(buf));
+    std::vector<PropertyRequest>().swap(buf); // frees the capacity
 }
 
 } // namespace netsparse

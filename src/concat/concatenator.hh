@@ -193,16 +193,11 @@ class Concatenator
 std::vector<PropertyRequest> deconcatenate(Packet &&pkt);
 
 /**
- * Per-shard recycling of Packet::prs buffers, backed by the calling
- * thread's BufferArena<PropertyRequest> (sim/arena.hh). Every packet is
- * born at a concatenation point and dies at a deconcatenation point on
- * the same simulation thread, so returning the drained vector here lets
- * the next flush reuse its capacity instead of hitting the allocator
- * once per packet (a measurable fraction of simulator time).
+ * Release a drained PR buffer. PR buffers come from the standard
+ * allocator and die where they are drained, so the simulator never
+ * calls this; it is kept for the host benchmark's concat replay
+ * (hostbench/hostbench.cpp), its one caller.
  */
-std::vector<PropertyRequest> acquirePrBuffer(std::size_t reserve);
-
-/** Return a drained PR buffer to the calling shard's arena. */
 void recyclePrBuffer(std::vector<PropertyRequest> &&buf);
 
 } // namespace netsparse

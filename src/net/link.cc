@@ -1,6 +1,5 @@
 #include "net/link.hh"
 
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/span.hh"
 #include "sim/trace.hh"
@@ -144,7 +143,7 @@ Link::sendBatched(Tick arrival, std::uint64_t key, Tick start,
             // is read, so it is the only one kept.
             trains_.clear();
         } else {
-            t.pkts = BufferArena<Packet>::local().acquire(kTrainMaxPackets);
+            t.pkts.reserve(kTrainMaxPackets);
             t.pkts.push_back(std::move(pkt));
             eq_.scheduleDelivery(t.deadline, key,
                                  [this] { flushTrain(); });
@@ -167,7 +166,6 @@ Link::flushTrain()
     eq_.addExecutedEvents(t.pkts.size() - 1);
     for (auto &p : t.pkts)
         sink_->receivePacket(std::move(p), sinkPort_);
-    BufferArena<Packet>::local().recycle(std::move(t.pkts));
 }
 
 } // namespace netsparse

@@ -209,7 +209,6 @@ Switch::processMiddlePipe(Packet &&pkt, std::uint32_t in_port)
         }
         concat.push(std::move(pr), pkt_dest);
     }
-    recyclePrBuffer(std::move(prs));
 }
 
 void

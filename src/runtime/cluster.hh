@@ -99,11 +99,11 @@ struct ClusterConfig
     bool eventBatching = false;
 
     /**
-     * Export per-shard arena allocator accounting under
-     * "cluster.memory.*" (--memory-stats). Off by default: the numbers
-     * are a host-side diagnostic of the simulator process (they vary
-     * with shard count and prior runs in the same process), so they are
-     * excluded from the byte-identical stats contract.
+     * Export the host memory the concatenation queues' PR buffers hold
+     * under "cluster.memory.*" (--memory-stats). Off by default: the
+     * number is a host-side diagnostic of the simulator process, not
+     * of the modeled hardware, so the default stats document leaves it
+     * out. It is shard-invariant: each CQ sizes its own buffer.
      */
     bool memoryStats = false;
 

@@ -6,7 +6,6 @@
 
 #include "net/pr_latency.hh"
 #include "runtime/shard_map.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/shard_engine.hh"
@@ -782,25 +781,9 @@ exportRunStats(const Fabric &f, const MultiJobResult &mr,
                              : "cluster.prLatency");
     }
     if (f.cfg.memoryStats) {
-        // Per-shard arena accounting (sim/arena.hh). Shard workers were
-        // joined by the run, so their arenas have flushed into the
-        // registry; fold in the calling thread's live arenas (the
-        // sequential engine's buffers live here). Gated: these are
-        // process-lifetime host diagnostics, outside the byte-identical
-        // stats contract (see ClusterConfig).
-        ArenaStats mem = ArenaStatsRegistry::instance().totals();
-        mem.add(BufferArena<Packet>::local().stats());
-        mem.add(BufferArena<PropertyRequest>::local().stats());
-        reg.set("cluster.memory.arenaReservedBytes",
-                static_cast<double>(mem.reservedBytes));
-        reg.set("cluster.memory.arenaHighWaterBytes",
-                static_cast<double>(mem.highWaterBytes));
-        reg.set("cluster.memory.arenaPoolHits",
-                static_cast<double>(mem.poolHits));
-        reg.set("cluster.memory.arenaPoolMisses",
-                static_cast<double>(mem.poolMisses));
-        // The PR buffers the CQs still hold, which the arenas never
-        // see: most of a large run's resident memory.
+        // The host memory the CQ buffers of every SNIC and switch pipe
+        // hold. Gated: a host diagnostic outside the modeled stats
+        // (see ClusterConfig).
         std::uint64_t held = 0;
         for (const auto &sn : f.snics)
             held += sn->concatHeldBytes();

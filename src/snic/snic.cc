@@ -121,7 +121,7 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
     const bool batched = batchedReads_;
     std::vector<PropertyRequest> responses;
     if (batched)
-        responses = acquirePrBuffer(prs.size());
+        responses.reserve(prs.size());
     Tick last_fetch = 0;
     for (auto &pr : prs) {
         if (pr.type == PrType::Response) {
@@ -145,13 +145,8 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
             server.handleRead(std::move(pr));
         }
     }
-    recyclePrBuffer(std::move(prs));
-    if (!batched)
+    if (!batched || responses.empty())
         return;
-    if (responses.empty()) {
-        recyclePrBuffer(std::move(responses));
-        return;
-    }
     // This one event stands for one response send per read; account
     // the rest so executedEvents() stays comparable to the per-event
     // path (and shard-invariant: the whole burst is node-local).
@@ -161,7 +156,6 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
             NodeId back = resp.src;
             sendPr(std::move(resp), back);
         }
-        recyclePrBuffer(std::move(rs));
     });
 }
 

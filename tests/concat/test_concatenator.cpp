@@ -208,6 +208,24 @@ TEST(Concatenator, FlushAllDrainsEverything)
     EXPECT_EQ(h.out.size(), 2u);
 }
 
+/** A flushed CQ keeps capacity for its own last packet, never a
+ *  larger buffer released elsewhere. */
+TEST(Concatenator, HeldCapacityFollowsTheLastPacket)
+{
+    ConcatConfig cfg;
+    cfg.delay = 1 * ticks::s;
+    Harness h(cfg);
+    auto cc = h.make();
+    std::vector<PropertyRequest> big;
+    big.reserve(1024);
+    recyclePrBuffer(std::move(big));
+    for (int i = 0; i < 3; ++i)
+        cc.push(readPr(i), 0);
+    cc.flushAll();
+    ASSERT_EQ(h.out.size(), 1u);
+    EXPECT_EQ(cc.heldBufferBytes(), 3 * sizeof(PropertyRequest));
+}
+
 TEST(Concatenator, StatsAverages)
 {
     ConcatConfig cfg;

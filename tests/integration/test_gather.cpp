@@ -299,9 +299,9 @@ TEST(Gather, DeterministicAcrossRuns)
         EXPECT_EQ(a.nodes[n].finishTick, b.nodes[n].finishTick);
 }
 
-/** The cluster.memory.* arena export (sim/arena.hh) is gated: absent
- *  by default so the stats document stays byte-identical, present
- *  under ClusterConfig::memoryStats. */
+/** The cluster.memory.* export is gated: absent by default so the
+ *  stats document stays byte-identical, present under
+ *  ClusterConfig::memoryStats, and it holds no arena key. */
 TEST(Gather, MemoryStatsAreGated)
 {
     Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
@@ -321,42 +321,46 @@ TEST(Gather, MemoryStatsAreGated)
     ClusterConfig cfg = smallCluster(nodes);
     cfg.memoryStats = true;
     std::string on = run_to_json(cfg);
-    EXPECT_NE(on.find("cluster.memory.arenaReservedBytes"),
+    EXPECT_NE(on.find("cluster.memory.concatHeldBytes"),
               std::string::npos);
-    EXPECT_NE(on.find("cluster.memory.arenaHighWaterBytes"),
-              std::string::npos);
-    EXPECT_NE(on.find("cluster.memory.arenaPoolHits"),
-              std::string::npos);
+    EXPECT_EQ(on.find("cluster.memory.arena"), std::string::npos);
 }
 
 /** cluster.memory.concatHeldBytes counts the PR buffers the SNIC and
- *  switch-pipe CQs hold, which the arena keys never see. Gated like
- *  them; this run spans 4 racks, so both kinds of CQ carry PRs. */
+ *  switch-pipe CQs hold. Gated; this run spans 4 racks, so both kinds
+ *  of CQ carry PRs. Each CQ sizes its own buffer, so the count is the
+ *  same at any shard count. */
 TEST(Gather, MemoryStatsCountHeldPrBuffers)
 {
     Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
     const std::uint32_t nodes = 16;
     Partition1D part = Partition1D::equalRows(m.rows, nodes);
-    auto run_to_json = [&](bool memory_stats) {
+    auto run_to_json = [&](bool memory_stats, std::uint32_t shards) {
         ClusterConfig cfg = smallCluster(nodes);
         cfg.memoryStats = memory_stats;
+        cfg.simShards = shards;
         StatsExport collector;
         collector.setCollect(true);
         StatsExport::Bind bind(collector);
         ClusterSim(cfg).runGather(m, part, 16);
         return collector.toJson();
     };
+    auto held_bytes = [&](std::uint32_t shards) {
+        jsonlite::Value doc = jsonlite::parse(run_to_json(true, shards));
+        return doc.at("runs")
+            .at(0)
+            .at("stats")
+            .at("cluster.memory.concatHeldBytes")
+            .at("value")
+            .number;
+    };
 
-    EXPECT_EQ(run_to_json(false).find("concatHeldBytes"),
+    EXPECT_EQ(run_to_json(false, 1).find("concatHeldBytes"),
               std::string::npos);
-    jsonlite::Value doc = jsonlite::parse(run_to_json(true));
-    double held = doc.at("runs")
-                      .at(0)
-                      .at("stats")
-                      .at("cluster.memory.concatHeldBytes")
-                      .at("value")
-                      .number;
+    double held = held_bytes(1);
     EXPECT_GT(held, 0.0);
     EXPECT_EQ(static_cast<std::uint64_t>(held) % sizeof(PropertyRequest),
               0u);
+    EXPECT_EQ(held_bytes(2), held);
+    EXPECT_EQ(held_bytes(4), held);
 }
